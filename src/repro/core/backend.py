@@ -196,10 +196,10 @@ class InProcessBackend(SweepBackend):
     name = "inproc"
 
     def run(self, todo, scale, seed, config, journal):
-        from repro.core.sweep import _point_cache_key, run_point
+        from repro.core.sweep import _point_cache_key, _releasing, run_point
 
         results = []
-        for point in todo:
+        for point in _releasing(todo):
             summary = run_point(point, scale, seed=seed)
             if journal is not None:
                 journal.append(_point_cache_key(point, scale, seed), summary)
@@ -354,7 +354,7 @@ class _WorkerFabric:
         arrays.
         """
         from repro.core.experiment import get_trace_dir
-        from repro.core.sweep import _trace_keys, _variant
+        from repro.core.sweep import _releasing, _trace_keys, _variant
         from repro.core.tracestore import save_trace, store_key, trace_filename
 
         store_dir = get_trace_dir()
@@ -369,7 +369,7 @@ class _WorkerFabric:
                 self._own_spool = True
         self._spool = store_dir
         with span("spool", points=len(self.todo)):
-            for point in self.todo:
+            for point in _releasing(self.todo):
                 skeys = []
                 for tkey in _trace_keys(point, self.scale):
                     lock_check, qid, qseed, node, arena = tkey

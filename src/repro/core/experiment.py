@@ -87,21 +87,26 @@ def workload_trace_cache(scale="small", seed=42):
     return _TRACE_CACHE[key]
 
 
+def _all_trace_caches():
+    """Every live :class:`TraceCache`: the shared per-scale caches plus the
+    sweep driver's ablation variants."""
+    from repro.core.sweep import _VARIANT_CACHE
+
+    return list(_TRACE_CACHE.values()) + list(_VARIANT_CACHE.values())
+
+
 def trace_cache_stats():
     """Aggregate :meth:`TraceCache.stats` over every live cache.
 
     Sums the shared per-scale caches and the sweep driver's ablation
     variants, so ``repro-experiments --time`` can report trace traffic for
-    the whole process in one line.
+    the whole process in one line.  ``events``/``source_events``/``bytes``
+    include traces a sweep has since released (counted by ``released``).
     """
-    from repro.core.sweep import _VARIANT_CACHE
-
-    caches = list(_TRACE_CACHE.values())
-    caches += list(_VARIANT_CACHE.values())
-    totals = {"traces": 0, "events": 0, "source_events": 0, "bytes": 0,
-              "hits": 0, "records": 0, "loads": 0, "bytes_read": 0,
-              "bytes_written": 0}
-    for cache in caches:
+    totals = {"traces": 0, "released": 0, "events": 0, "source_events": 0,
+              "bytes": 0, "hits": 0, "records": 0, "loads": 0,
+              "bytes_read": 0, "bytes_written": 0}
+    for cache in _all_trace_caches():
         for name, value in cache.stats().items():
             totals[name] += value
     return totals

@@ -43,6 +43,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED, BrokenExecutor, CancelledError, ProcessPoolExecutor,
     wait as _futures_wait,
@@ -187,6 +188,46 @@ def clear_variant_cache():
     the memoized point summaries."""
     _VARIANT_CACHE.clear()
     _POINT_CACHE.clear()
+
+
+def _release_scenario(qid):
+    """Drop one scenario's traces from this process, derived views included.
+
+    A ``scn:<spec-hash>`` trace can only ever serve the points of its own
+    spec, so nothing is lost but the memory: the variant caches, the
+    recording memo, and the horizon schedules pinning the trace objects
+    (whose boxed columns, batch plans and share bases go with them).
+    Ordinary query traces are never released -- later sweeps replay them.
+    """
+    from repro.core.experiment import _all_trace_caches
+    from repro.memsim.horizon import evict_traces
+    from repro.workload.session import release_scenario
+
+    dropped = [t for cache in _all_trace_caches()
+               for t in cache.release(qid)]
+    release_scenario(qid)
+    if dropped:
+        evict_traces(dropped)
+        registry().counter("workload.scenario.released").inc()
+
+
+def _releasing(points):
+    """Yield ``points`` in order, bounding scenario-trace lifetime.
+
+    The caller is done with a point when it comes back for the next one
+    (simulated it in-process, or encoded its traces for shipping); once
+    that was the last point naming a scenario, the scenario's traces are
+    released.  The policy needs no knob: it is read off the point list.
+    """
+    from repro.workload.session import is_scenario_qid
+
+    left = Counter(p.qid for p in points if is_scenario_qid(p.qid))
+    for p in points:
+        yield p
+        if p.qid in left:
+            left[p.qid] -= 1
+            if not left[p.qid]:
+                _release_scenario(p.qid)
 
 
 def _home_fn(placement):
@@ -395,13 +436,14 @@ def _ship_traces(todo, scale, seed):
 
     One engine execution (or one store load) per unique trace, all in the
     parent -- workers receive the result through the pool initializer and
-    never build a database.
+    never build a database.  Workers need only the bytes, so a scenario's
+    traces are released as soon as its last point is encoded.
     """
     from repro.core.tracestore import encode_trace, store_key
 
     shipped = {}
     with span("encode", points=len(todo)):
-        for point in todo:
+        for point in _releasing(todo):
             for tkey in _trace_keys(point, scale):
                 if tkey in shipped:
                     continue
@@ -752,6 +794,11 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None,
     (:mod:`repro.core.checkpoint`); a re-run loads the journal and
     re-simulates only unfinished points, bit-identically.
 
+    Scenario traces (``scn:`` qids) live as long as the sweep needs them:
+    once the last point naming one is simulated (or shipped), its traces
+    are dropped from the process (:func:`_releasing`).  Query traces stay
+    cached for the sweeps that follow.
+
     The pre-``RunConfig`` keyword arguments (``checkpoint_dir``,
     ``point_timeout``, ``retries``, ``backoff``) still work through a
     deprecation shim that warns once per process.
@@ -802,7 +849,7 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None,
                 for p, s in zip(todo, summaries):
                     _POINT_CACHE[_point_cache_key(p, scale, seed)] = s
         out = {}
-        for p in points:
+        for p in _releasing(points):
             ckey = _point_cache_key(p, scale, seed)
             fresh = ckey not in _POINT_CACHE
             summary = run_point(p, scale, seed=seed)

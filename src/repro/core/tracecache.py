@@ -19,7 +19,9 @@ logic lives in the interleaver (a contended acquire is re-dispatched from
 reproduce live coherence behaviour bit for bit.
 
 Result rows are captured at record time, so replayed workloads still
-populate ``WorkloadResult.rows_per_cpu``.
+populate ``WorkloadResult.rows_per_cpu``.  Encoding is incremental
+(:meth:`QueryTrace.extend`): :func:`record` feeds it one generator, the
+scenario recorder one per operation, through the same loop.
 
 :class:`TraceCache` memoizes traces per database the way
 ``experiment._DB_CACHE`` memoizes databases; use
@@ -33,6 +35,7 @@ second process or session starts warm.
 
 import pickle
 from array import array
+from collections import Counter
 
 from repro.memsim.events import (
     EV_BUSY, EV_HIT, EV_LOCK_ACQ, EV_LOCK_REL, EV_WRITE,
@@ -72,7 +75,7 @@ class QueryTrace:
 
     __slots__ = ("kinds", "a", "b", "c", "d", "e", "lock_ids", "rows",
                  "n_source_events", "_rows_nbytes", "_columns",
-                 "_batch_base", "_batch_plans", "_share_base")
+                 "_batch_base", "_batch_plans", "_share_base", "__weakref__")
 
     def __init__(self):
         self.kinds = array("b")
@@ -136,6 +139,72 @@ class QueryTrace:
                 pickle.dumps(self.rows, protocol=pickle.HIGHEST_PROTOCOL))
         return n + self._rows_nbytes
 
+    def extend(self, gen):
+        """Encode ``gen``'s events onto this trace; return its return value.
+
+        Busy/hit events following a memory reference are fused into that
+        row's ``d``/``e`` columns; standalone runs of consecutive
+        ``EV_BUSY`` (or ``EV_HIT``) events are merged into one row.  Both
+        depend only on the last row's kind, so a stream fed in pieces (one
+        per scenario operation) encodes exactly as its concatenation.
+        """
+        kinds = self.kinds
+        a = self.a
+        b = self.b
+        c = self.c
+        d = self.d
+        e = self.e
+        lock_ids = self.lock_ids
+        lock_index = {lock_id: i for i, lock_id in enumerate(lock_ids)}
+        n = self.n_source_events
+        last = kinds[-1] if kinds else -1
+        fusable = 0 <= last <= EV_WRITE  # READ/WRITE, no lock event since
+        # kind of the last row iff it is a standalone BUSY/HIT run
+        last_mergeable = last if last == EV_BUSY or last == EV_HIT else -1
+        try:
+            while True:
+                ev = next(gen)
+                n += 1
+                k = ev[0]
+                if k == EV_BUSY or k == EV_HIT:
+                    if fusable:
+                        d[-1] += ev[1]
+                        if k == EV_HIT:
+                            e[-1] += ev[1]
+                        continue
+                    if k == last_mergeable:
+                        a[-1] += ev[1]
+                        continue
+                    kinds.append(k)
+                    a.append(ev[1])
+                    b.append(0)
+                    c.append(0)
+                    d.append(0)
+                    e.append(0)
+                    last_mergeable = k
+                    continue
+                last_mergeable = -1
+                if k <= EV_WRITE:  # EV_READ / EV_WRITE
+                    x = ev[1]
+                    fusable = True
+                elif k == EV_LOCK_ACQ or k == EV_LOCK_REL:
+                    x = lock_index.get(ev[1])
+                    if x is None:
+                        x = lock_index[ev[1]] = len(lock_ids)
+                        lock_ids.append(ev[1])
+                    fusable = False
+                else:
+                    raise ValueError(f"unknown event kind {k!r}")
+                kinds.append(k)
+                a.append(x)
+                b.append(ev[2])
+                c.append(ev[3])
+                d.append(0)
+                e.append(0)
+        except StopIteration as stop:
+            self.n_source_events = n
+            return stop.value
+
     def replay(self, sink=None, node=None):
         """Generator re-emitting the recorded events as plain tuples.
 
@@ -164,73 +233,9 @@ class QueryTrace:
 
 
 def record(gen):
-    """Consume a traced generator; return its :class:`QueryTrace`.
-
-    Busy/hit events following a memory reference are fused into that row's
-    ``d``/``e`` columns; standalone runs of consecutive ``EV_BUSY`` (or
-    consecutive ``EV_HIT``) events are merged into one row.
-    """
+    """Consume a traced generator; return its :class:`QueryTrace`."""
     trace = QueryTrace()
-    kinds = trace.kinds
-    a = trace.a
-    b = trace.b
-    c = trace.c
-    d = trace.d
-    e = trace.e
-    lock_ids = trace.lock_ids
-    lock_index = {}
-    n = 0
-    fusable = False      # last row is READ/WRITE with no lock event since
-    last_mergeable = -1  # kind of the previous row iff standalone BUSY/HIT
-    try:
-        while True:
-            ev = next(gen)
-            n += 1
-            k = ev[0]
-            if k == EV_BUSY or k == EV_HIT:
-                if fusable:
-                    d[-1] += ev[1]
-                    if k == EV_HIT:
-                        e[-1] += ev[1]
-                    continue
-                if k == last_mergeable:
-                    a[-1] += ev[1]
-                    continue
-                kinds.append(k)
-                a.append(ev[1])
-                b.append(0)
-                c.append(0)
-                d.append(0)
-                e.append(0)
-                last_mergeable = k
-                continue
-            last_mergeable = -1
-            if k <= EV_WRITE:  # EV_READ / EV_WRITE
-                kinds.append(k)
-                a.append(ev[1])
-                b.append(ev[2])
-                c.append(ev[3])
-                d.append(0)
-                e.append(0)
-                fusable = True
-            elif k == EV_LOCK_ACQ or k == EV_LOCK_REL:
-                lock_id = ev[1]
-                idx = lock_index.get(lock_id)
-                if idx is None:
-                    idx = lock_index[lock_id] = len(lock_ids)
-                    lock_ids.append(lock_id)
-                kinds.append(k)
-                a.append(idx)
-                b.append(ev[2])
-                c.append(ev[3])
-                d.append(0)
-                e.append(0)
-                fusable = False
-            else:
-                raise ValueError(f"unknown event kind {k!r}")
-    except StopIteration as stop:
-        trace.rows = stop.value
-    trace.n_source_events = n
+    trace.rows = trace.extend(gen)
     return trace
 
 
@@ -246,11 +251,9 @@ class TraceCache:
     ``trace_dir`` (with ``db_seed``, the seed the database was generated
     from) turns on read-through persistence: a miss in memory tries
     :func:`repro.core.tracestore.load_trace` before paying for an engine
-    execution, and every fresh recording is saved back.  Damaged or
-    incompatible store files silently fall back to re-recording (and are
-    overwritten with a good copy).  The ``hits`` / ``records`` / ``loads``
-    / ``bytes_read`` / ``bytes_written`` counters make the traffic
-    observable (``repro-experiments --time`` reports them).
+    execution, and every fresh recording is saved back.  The ``hits`` /
+    ``records`` / ``loads`` / ``bytes_read`` / ``bytes_written`` counters
+    make the traffic observable (``repro-experiments --time`` reports them).
 
     ``db`` may be a zero-argument callable instead of a database: it is
     invoked on the first actual recording, so a session whose traces all
@@ -258,8 +261,9 @@ class TraceCache:
     build at all.  A lazy cache must state ``lock_check_per_rescan``
     explicitly if its database would be non-default.
 
-    Damaged store entries fall back to re-recording with a warning and a
-    corruption counter (:func:`repro.core.tracestore.corruption_stats`);
+    Damaged or incompatible store entries fall back to re-recording (and
+    are overwritten with a good copy) with a warning and a corruption
+    counter (:func:`repro.core.tracestore.corruption_stats`);
     ``strict_store=True`` raises :class:`TraceStoreError` instead
     (``None`` defers to the ``--strict-store`` global).  Opening a cache
     with a ``trace_dir`` also sweeps stale ``*.tmp.<pid>`` files left by
@@ -283,6 +287,7 @@ class TraceCache:
                                              True))
         self.lock_check_per_rescan = bool(lock_check_per_rescan)
         self._traces = {}
+        self._released = Counter()
         self.hits = 0
         self.records = 0
         self.loads = 0
@@ -331,28 +336,25 @@ class TraceCache:
                 reg.counter("tracecache.bytes_read").inc(nbytes)
                 self._traces[key] = trace
                 return trace
-            trace = self._record(qid, seed, node, arena_size)
-            self.records += 1
-            reg.counter("tracecache.records").inc()
+        trace = self._record(qid, seed, node, arena_size)
+        self.records += 1
+        reg.counter("tracecache.records").inc()
+        if self.trace_dir is not None:
             written = save_trace(self.trace_dir, skey, trace)
             self.bytes_written += written
             reg.counter("tracecache.bytes_written").inc(written)
-        else:
-            trace = self._record(qid, seed, node, arena_size)
-            self.records += 1
-            reg.counter("tracecache.records").inc()
         self._traces[key] = trace
         return trace
 
     def _record(self, qid, seed, node, arena_size):
         if qid.startswith("scn:"):
             # Scenario traces (repro.workload): the whole multi-tenant
-            # session is recorded in one canonical pass on a private
+            # session is recorded in one streaming pass on a private
             # database -- the shared read-only instance behind this cache
             # must never see UF1/UF2 mutations -- and this cache keeps the
-            # per-node stream.  The query-parameter ``seed`` is unused
-            # (scenario randomness comes from the spec), but stays in the
-            # store identity like every other trace.
+            # per-node stream until the sweep releases it.  The
+            # query-parameter ``seed`` is unused (scenario randomness comes
+            # from the spec), but stays in the store identity.
             from repro.workload.session import record_scenario
 
             db_seed = self.db_seed if self.db_seed is not None else 42
@@ -421,18 +423,32 @@ class TraceCache:
         """Drop every recorded trace."""
         self._traces.clear()
 
+    def release(self, qid):
+        """Drop and return every trace of ``qid``; :meth:`stats` keeps
+        counting their sizes, so its totals stay truthful."""
+        dropped = [self._traces.pop(k) for k in list(self._traces)
+                   if k[0] == qid]
+        self._released.update(_sizes(dropped), released=len(dropped))
+        return dropped
+
     def stats(self):
-        """Summary of cache contents and traffic: traces, events, encoded
-        bytes, plus the hit/record/load counters and store byte totals."""
+        """Live and ``released`` traces, their events and encoded bytes
+        (cumulative over both), hit/record/load counters, store bytes."""
+        total = Counter(_sizes(self._traces.values()), released=0)
+        total.update(self._released)
         return {
             "traces": len(self._traces),
-            "events": sum(len(t) for t in self._traces.values()),
-            "source_events": sum(t.n_source_events
-                                 for t in self._traces.values()),
-            "bytes": sum(t.nbytes() for t in self._traces.values()),
+            **total,
             "hits": self.hits,
             "records": self.records,
             "loads": self.loads,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
         }
+
+
+def _sizes(traces):
+    """Event, source-event and encoded-byte totals over ``traces``."""
+    return {"events": sum(len(t) for t in traces),
+            "source_events": sum(t.n_source_events for t in traces),
+            "bytes": sum(t.nbytes() for t in traces)}

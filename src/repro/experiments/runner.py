@@ -235,7 +235,7 @@ def _print_timings(config, outcomes):
     pm = point_memo_stats()
     print(f"  trace cache  hits={tc['hits']} records={tc['records']} "
           f"loads={tc['loads']} traces={tc['traces']} "
-          f"({_fmt_bytes(tc['bytes'])})")
+          f"released={tc['released']} ({_fmt_bytes(tc['bytes'])})")
     print(f"  trace store  read={_fmt_bytes(tc['bytes_read'])} "
           f"written={_fmt_bytes(tc['bytes_written'])}"
           + (f"  dir={config.trace_dir}" if config.trace_dir else ""))

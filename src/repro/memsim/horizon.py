@@ -194,7 +194,8 @@ def horizon_schedule(traces, l2_shift):
     kept FIFO, each holding strong references to its traces so the
     ``id`` keys cannot be recycled under it.  Sweeps drop the memo with
     the trace caches via
-    :func:`repro.core.experiment.clear_caches` -> :func:`clear_memo`.
+    :func:`repro.core.experiment.clear_caches` -> :func:`clear_memo`, and
+    a released scenario's entries via :func:`evict_traces`.
     """
     if _np is None:
         return None
@@ -261,3 +262,15 @@ def _note_schedule(sched):
 def clear_memo():
     """Drop the combined-schedule memo (kept traces included)."""
     _schedules.clear()
+
+
+def evict_traces(traces):
+    """Drop the memoized schedules that pin any of ``traces``.
+
+    The targeted form of :func:`clear_memo`: a sweep releasing one
+    scenario's traces must not cost the query traces their schedules.
+    """
+    gone = {id(t) for t in traces}  # repro: allow[DET004] identity match
+    for key in [k for k in _schedules if gone.intersection(k[0])]:
+        # repro: allow[MP001] process-local cache by design, see above
+        del _schedules[key]

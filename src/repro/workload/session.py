@@ -1,4 +1,4 @@
-"""Scenario session recorder: one canonical pass, N machine-ready traces.
+"""Scenario session recorder: one streaming pass, N machine-ready traces.
 
 Update-bearing workloads break the assumption the query trace cache lives
 on: a DML statement mutates shared engine state, so the event stream one
@@ -9,8 +9,9 @@ schedule order fixed by :func:`repro.workload.scheduler.build_schedule`
 (arrival, then CPU, client, sequence) against a **fresh** database --
 never the shared read-only cache of
 :func:`repro.core.experiment.workload_database`.  Each operation's events
-are routed into its CPU's stream, with the nominal idle gap between
-consecutive arrivals on that CPU inserted as a busy interval.
+stream straight into its CPU's trace (``QueryTrace.extend``: no event list,
+no second pass), with the nominal idle gap between consecutive arrivals on
+that CPU fed in as a busy event.
 
 The per-CPU streams are then fixed data, exactly like a recorded query
 trace: replay against any machine configuration is deterministic, and the
@@ -25,7 +26,11 @@ and lease-journaled under ``scn:<spec-hash>`` through the ordinary
 paths -- :meth:`TraceCache._record` recognizes the prefix and delegates
 here.  Recording happens only where a spec has been registered (the sweep
 parent; pool workers receive shipped bytes and ``repro-sweep-worker``
-processes strict-load from the spool, so neither ever records).
+processes strict-load from the spool, so neither ever records).  A
+scenario trace can only serve the points of its own spec, so it lives as
+long as its sweep: :func:`repro.core.sweep.run_sweep` releases it after the
+last point naming the qid, and a later run of the same spec re-records (or
+loads from ``--trace-dir``).
 """
 
 from repro.memsim.events import busy
@@ -87,14 +92,10 @@ def clear_scenarios():
     _RECORDINGS.clear()
 
 
-def _drain_into(gen, bucket):
-    """Run a traced generator appending its events to ``bucket``; return
-    its result value."""
-    while True:
-        try:
-            bucket.append(next(gen))
-        except StopIteration as stop:
-            return stop.value
+def release_scenario(qid):
+    """Forget ``qid``'s memoized recordings (the spec stays registered)."""
+    for mkey in [k for k in _RECORDINGS if k[0] == qid]:
+        del _RECORDINGS[mkey]  # repro: allow[MP001] parent-side memo
 
 
 def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
@@ -106,7 +107,7 @@ def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
     ``(qid, scale, db_seed, arena, lock_check)``: the N per-CPU
     ``TraceCache`` misses of one sweep point trigger a single pass.
     """
-    from repro.core.tracecache import record
+    from repro.core.tracecache import QueryTrace
     from repro.tpcd.dbgen import build_database
     from repro.tpcd.scales import get_scale
 
@@ -118,28 +119,29 @@ def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
     spec = get_scenario(qid)
     schedule = build_schedule(spec)
     with span("record-scenario", qid=qid, name=spec.name,
-              ops=len(schedule), cpus=spec.cpus):
+              ops=len(schedule), cpus=spec.cpus) as sp:
         with span("dbgen", scale=scale.name, seed=db_seed,
                   variant="scenario"):
             db = build_database(sf=scale.sf, seed=db_seed)
         db.lock_check_per_rescan = bool(lock_check)
-        backends = {cpu: db.backend(cpu, arena_size=arena_size)
-                    for cpu in range(spec.cpus)}
-        events = {cpu: [] for cpu in range(spec.cpus)}
-        results = {cpu: [] for cpu in range(spec.cpus)}
-        cursor = {cpu: 0 for cpu in range(spec.cpus)}
+        cpus = range(spec.cpus)
+        backends = [db.backend(cpu, arena_size=arena_size) for cpu in cpus]
+        traces = {cpu: QueryTrace() for cpu in cpus}
+        for trace in traces.values():
+            trace.rows = []  # one (op, result) pair per operation
+        cursor = [0] * spec.cpus
         for op in schedule:
             cpu = op.cpu
+            trace = traces[cpu]
             gap = op.arrival - cursor[cpu]
             if gap > 0:
-                events[cpu].append(busy(gap))
+                trace.extend(iter((busy(gap),)))
                 cursor[cpu] = op.arrival
-            value = _drain_into(
-                _op_stream_bound(db, backends[cpu], op, spec), events[cpu])
-            results[cpu].append((op.op, value))
+            value = trace.extend(_op_stream_bound(db, backends[cpu], op, spec))
+            trace.rows.append((op.op, value))
             backends[cpu].priv.reset_heap()
-        traces = {cpu: record(_emit(events[cpu], results[cpu]))
-                  for cpu in range(spec.cpus)}
+        if sp is not None:
+            sp.meta["rows"] = sum(len(t) for t in traces.values())
     # Recording is parent-side only: pool/fabric workers receive scenario
     # traces as shipped bytes and never reach this memo, so the global
     # stays process-local by design.
@@ -149,16 +151,8 @@ def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
     return traces
 
 
-def _emit(evts, rows):
-    """Wrap a pre-collected event list as a traced generator for
-    :func:`repro.core.tracecache.record`."""
-    for ev in evts:
-        yield ev
-    return rows
-
-
 def _op_stream_bound(db, backend, op, spec):
-    """Like :func:`_op_stream` with the tenant's update batch resolved."""
+    """One operation's traced generator (update batch resolved)."""
     if op.op in ("UF1", "UF2"):
         from repro.tpcd.updates import uf1_statements, uf2_statements
 

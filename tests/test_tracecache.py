@@ -8,6 +8,7 @@ coalescing merges runs of busy/hit events without changing what they do.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import experiment
 from repro.core.experiment import (
@@ -18,7 +19,11 @@ from repro.core.experiment import (
     workload_trace_cache,
 )
 from repro.core.sweep import SweepPoint, clear_variant_cache, run_sweep
+from repro.core.tracecache import QueryTrace, record
 from repro.db.shmem import shared_home_fn
+from repro.memsim.events import (
+    EV_BUSY, EV_HIT, EV_LOCK_ACQ, EV_LOCK_REL, EV_READ, EV_WRITE,
+)
 from repro.memsim.interleave import Interleaver
 from repro.memsim.numa import NumaMachine
 from repro.memsim.stats import MachineStats
@@ -196,3 +201,83 @@ def test_clear_caches_drops_everything():
     assert not experiment._DB_CACHE
     assert not experiment._TRACE_CACHE
     assert len(cache) == 0
+
+
+# -- the incremental encoder ---------------------------------------------------
+
+def _stream(events, rows=None):
+    """A traced generator: yields ``events``, returns ``rows``."""
+    yield from events
+    return rows
+
+
+def _encoded(trace):
+    return (trace.kinds, trace.a, trace.b, trace.c, trace.d, trace.e,
+            trace.lock_ids, trace.rows, trace.n_source_events)
+
+
+def _record_in_pieces(pieces, rows=None):
+    """One trace fed piece by piece; also returns each piece's value."""
+    trace = QueryTrace()
+    values = [trace.extend(_stream(piece, i))
+              for i, piece in enumerate(pieces)]
+    trace.rows = rows
+    return trace, values
+
+
+_LOCK_NAMES = st.sampled_from(["lk:a", "lk:b", ("rel", 7)])
+_EVENTS = st.one_of(
+    st.tuples(st.sampled_from([EV_READ, EV_WRITE]),
+              st.integers(0, 1 << 40), st.integers(1, 64),
+              st.integers(0, 8)),
+    st.tuples(st.sampled_from([EV_BUSY, EV_HIT]), st.integers(1, 500)),
+    st.tuples(st.sampled_from([EV_LOCK_ACQ, EV_LOCK_REL]), _LOCK_NAMES,
+              st.integers(0, 1 << 40), st.integers(0, 8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(_EVENTS, max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=6))
+def test_extend_in_pieces_equals_one_pass(events, cuts):
+    bounds = [0] + sorted(min(c, len(events)) for c in cuts) + [len(events)]
+    pieces = [events[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    whole = record(_stream(events, rows=["r"]))
+    split, values = _record_in_pieces(pieces, rows=["r"])
+    assert _encoded(split) == _encoded(whole)
+    assert values == list(range(len(pieces)))
+    assert whole.n_source_events == len(events)
+
+
+@pytest.mark.parametrize("kind", [EV_READ, EV_WRITE])
+def test_gap_busy_fuses_into_previous_ops_trailing_reference(kind):
+    ref = (kind, 4096, 8, 1)
+    trace, _ = _record_in_pieces([[ref], [(EV_BUSY, 30)], [(EV_HIT, 5)]])
+    assert list(trace.kinds) == [kind]
+    assert (trace.d[0], trace.e[0]) == (35, 5)
+    assert trace.n_source_events == 3
+
+
+def test_standalone_busy_merges_across_a_cut():
+    trace, _ = _record_in_pieces(
+        [[(EV_BUSY, 10)], [(EV_BUSY, 5)], [(EV_HIT, 2)], [(EV_HIT, 3)]])
+    assert list(trace.kinds) == [EV_BUSY, EV_HIT]
+    assert list(trace.a) == [15, 5]
+
+
+def test_lock_event_at_a_cut_clears_fusable():
+    trace, _ = _record_in_pieces(
+        [[(EV_READ, 64, 4, 1)], [(EV_LOCK_REL, "lk", 128, 7)],
+         [(EV_BUSY, 9)], [(EV_LOCK_ACQ, "lk", 128, 7)]])
+    assert list(trace.kinds) == [EV_READ, EV_LOCK_REL, EV_BUSY, EV_LOCK_ACQ]
+    assert list(trace.d) == [0, 0, 0, 0]
+    assert trace.lock_ids == ["lk"] and list(trace.a)[1::2] == [0, 0]
+
+
+def test_unknown_event_kind_raises():
+    with pytest.raises(ValueError, match="unknown event kind"):
+        record(_stream([(EV_READ, 0, 4, 0), (9, 1)]))
+    trace = QueryTrace()
+    trace.extend(_stream([(EV_BUSY, 1)]))
+    with pytest.raises(ValueError, match="unknown event kind"):
+        trace.extend(_stream([(6, 1)]))

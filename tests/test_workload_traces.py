@@ -8,19 +8,27 @@ fabric, or replayed from the persistent trace store in a process that
 never saw the spec.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
-from repro.core.experiment import clear_caches, set_trace_dir
+from repro import obs
+from repro.core import experiment, sweep
+from repro.core.experiment import (
+    clear_caches, set_trace_dir, trace_cache_stats, workload_trace_cache,
+)
 from repro.core.run import RunConfig
 from repro.core.sweep import SweepPoint, run_sweep
 from repro.core.tracestore import decode_trace, encode_trace, store_key
+from repro.obs.metrics import registry
 from repro.obs.report import summary_hash
 from repro.workload import (
     ScenarioSpec, TenantSpec, build_schedule, register_scenario,
     run_scenario, scenario_qid, scenario_report,
 )
+from repro.workload import session
 from repro.workload.session import record_scenario
 
 SCALE = "tiny"
@@ -103,27 +111,127 @@ def test_update_trace_codec_round_trip():
 
 
 def test_scenario_bit_identical_across_jobs_and_backends(tmp_path):
+    # Two points per sweep, so the pool really spawns (a single point
+    # short-circuits to in-process) and the parent ships, then releases.
     spec = update_spec()
+    points = [_point(spec),
+              SweepPoint(key="wide", qid=scenario_qid(spec),
+                         machine={"l1_line": 64, "l2_line": 128},
+                         n_procs=spec.cpus)]
 
-    register_scenario(spec)
-    serial = run_sweep([_point(spec)], scale=SCALE)[spec.name]
+    def hashes(config=None):
+        clear_caches()
+        register_scenario(spec)
+        before = _counter("workload.scenario.released")
+        out = run_sweep(points, scale=SCALE, config=config)
+        assert _counter("workload.scenario.released") == before + 1
+        _assert_no_scenario_traces()
+        return {key: summary_hash(s) for key, s in out.items()}
 
-    clear_caches()
-    register_scenario(spec)
-    pooled = run_sweep(
-        [_point(spec)], scale=SCALE,
-        config=RunConfig(scale=SCALE, jobs=2, backend="pool"))[spec.name]
+    serial = hashes()
+    pooled = hashes(RunConfig(scale=SCALE, jobs=2, backend="pool"))
+    fabric = hashes(RunConfig(scale=SCALE, backend="workers", workers=2,
+                              checkpoint_dir=str(tmp_path / "ckpt"),
+                              lease_ttl=20.0))
+    assert serial == pooled == fabric
+    assert serial[spec.name] != serial["wide"]
 
-    clear_caches()
-    register_scenario(spec)
-    fabric = run_sweep(
-        [_point(spec)], scale=SCALE,
-        config=RunConfig(scale=SCALE, backend="workers", workers=2,
-                         checkpoint_dir=str(tmp_path / "ckpt"),
-                         lease_ttl=20.0))[spec.name]
 
-    assert summary_hash(serial) == summary_hash(pooled)
-    assert summary_hash(serial) == summary_hash(fabric)
+def _counter(name):
+    return registry().value(name)
+
+
+def _assert_no_scenario_traces():
+    """No ``scn:`` trace is reachable from any process-wide cache."""
+    assert not session._RECORDINGS
+    for cache in experiment._all_trace_caches():
+        assert not [k for k in cache._traces if session.is_scenario_qid(k[0])]
+
+
+@pytest.fixture
+def trace_refs(monkeypatch):
+    """Weak references to every trace the sweep hands to the simulator."""
+    refs = []
+    simulate = sweep.simulate_point
+
+    def spy(point, scale, traces):
+        refs.extend(weakref.ref(t) for t in traces)
+        return simulate(point, scale, traces)
+
+    monkeypatch.setattr(sweep, "simulate_point", spy)
+    return refs
+
+
+def test_run_scenario_releases_its_traces(trace_refs):
+    spec = update_spec()
+    recordings = _counter("workload.scenario.recordings")
+    released = _counter("workload.scenario.released")
+    run_scenario(spec, scale=SCALE)
+    assert _counter("workload.scenario.recordings") == recordings + 1
+    assert _counter("workload.scenario.released") == released + 1
+    _assert_no_scenario_traces()
+    gc.collect()
+    # A forgotten pin (the horizon schedule memo holds its traces by
+    # strong reference) would keep these alive.
+    assert len(trace_refs) == spec.cpus
+    assert all(ref() is None for ref in trace_refs)
+    # The stats still account for what was recorded and dropped.
+    stats = trace_cache_stats()
+    assert (stats["traces"], stats["released"]) == (0, spec.cpus)
+    assert stats["records"] == spec.cpus
+    assert stats["bytes"] > 0 and 0 < stats["events"] <= stats["source_events"]
+
+
+def test_record_scenario_span_reports_rows():
+    from repro.tpcd.scales import get_scale
+
+    qid, sc = register_scenario(update_spec()), get_scale(SCALE)
+    obs.tracer().reset()  # earlier tests leave their span trees behind
+    obs.enable(record_events=False)
+    try:
+        traces = record_scenario(qid, sc, 42, sc.arena_size)
+        (root,) = obs.tracer().tree()
+    finally:
+        obs.disable()
+        obs.tracer().reset()
+    assert root["name"] == "record-scenario"
+    assert root["meta"]["rows"] == sum(len(t) for t in traces.values()) > 0
+
+
+def test_one_scenario_many_machines_records_once_then_releases(trace_refs):
+    spec = update_spec()
+    qid = register_scenario(spec)
+    points = [SweepPoint(key=line, qid=qid, n_procs=spec.cpus,
+                         machine={"l1_line": line // 2, "l2_line": line})
+              for line in (64, 128)]
+    recordings = _counter("workload.scenario.recordings")
+    out = run_sweep(points, scale=SCALE)
+    assert _counter("workload.scenario.recordings") == recordings + 1
+    assert summary_hash(out[64]) != summary_hash(out[128])
+    # Both points replayed the same trace objects: the second is a cache
+    # hit, not a second recording, and release waited for it.
+    assert len(trace_refs) == 2 * spec.cpus
+    assert trace_refs[:spec.cpus] == trace_refs[spec.cpus:]
+    assert trace_cache_stats()["hits"] == spec.cpus
+    _assert_no_scenario_traces()
+    gc.collect()
+    assert all(ref() is None for ref in trace_refs)
+
+
+def test_query_traces_keep_process_lifetime_caching(trace_refs):
+    point = SweepPoint(key="base", qid="Q6")
+    run_sweep([point], scale=SCALE)
+    gc.collect()
+    cache = workload_trace_cache(SCALE)
+    assert len(cache) == point.n_procs
+    assert cache.stats()["released"] == 0
+    traces = [ref() for ref in trace_refs]
+    assert all(t is not None and t._columns is not None for t in traces)
+    # ... and a second sweep over the same traces records nothing new.
+    run_sweep([SweepPoint(key="wide", qid="Q6",
+                          machine={"l1_line": 64, "l2_line": 128})],
+              scale=SCALE)
+    assert cache.stats()["records"] == point.n_procs
 
 
 def test_stored_scenario_replays_without_registration(tmp_path):
