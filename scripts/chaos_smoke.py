@@ -1,14 +1,17 @@
-"""CI chaos smoke: the worker fabric under seeded faults must match serial.
+"""CI chaos smoke: a sweep under injected faults must match serial.
 
-Three acts over the same four-point line-size sweep:
+Four acts over the same four-point line-size sweep:
 
 1. a clean ``--backend workers`` run is bit-identical to the in-process
    run (and the lease ledger ends compacted, with no leases left);
-2. a run under every worker-targeted fault kind at once -- a worker kill,
-   a corrupt result frame, a heartbeat stall -- plus a randomized-but-
-   seeded chaos schedule on top, is *still* bit-identical, and each
-   recovery path provably fired;
-3. a run interrupted mid-sweep (SIGINT) resumes from the lease ledger:
+2. a run on the process pool with an injected worker raise, crash,
+   garbage result and hang is bit-identical, and each recovery path
+   provably fired;
+3. a ``--backend workers`` run under every worker-targeted fault kind at
+   once -- a worker kill, a corrupt result frame, a heartbeat stall --
+   plus a randomized-but-seeded chaos schedule on top, is *still*
+   bit-identical, and each recovery path provably fired;
+4. a run interrupted mid-sweep (SIGINT) resumes from the lease ledger:
    the in-flight point is re-queued exactly once and the final results
    are bit-identical again.
 
@@ -54,10 +57,40 @@ def _clean_run(serial, ckpt):
     if got != serial:
         return _fail("clean workers-backend sweep diverged from serial")
     with LeaseLedger(ckpt) as ledger:
-        if len(ledger) != len(serial) or ledger.leases:
-            return _fail(f"ledger not settled: {len(ledger)} completed, "
-                         f"{len(ledger.leases)} leases")
-    print("chaos smoke 1/3 OK: clean workers backend == serial")
+        if len(ledger.completed) != len(serial) or ledger.leases:
+            return _fail(f"ledger not settled: {len(ledger.completed)} "
+                         f"completed, {len(ledger.leases)} leases")
+    print("chaos smoke 1/4 OK: clean workers backend == serial")
+    return 0
+
+
+def _pool_run(serial):
+    from repro.core import RunConfig
+    from repro.core.faults import ENV_VAR
+    from repro.core.sweep import (
+        clear_variant_cache, run_sweep, supervisor_stats,
+    )
+
+    clear_variant_cache()
+    before = supervisor_stats()
+    # Multi-attempt budgets (*N) keep each fault deterministic even though
+    # the crash-induced pool breakage charges every in-flight point an
+    # attempt: the fault still fires once the point actually runs.
+    os.environ[ENV_VAR] = "raise@0*2,crash@1,garbage@2*3,hang@3*2"
+    try:
+        got = run_sweep(_points(), scale="tiny",
+                        config=RunConfig(jobs=4, point_timeout=5.0))
+    finally:
+        del os.environ[ENV_VAR]
+    if got != serial:
+        return _fail("faulted pool sweep diverged from serial")
+    stats = supervisor_stats()
+    for counter in ("retries", "respawns", "timeouts", "garbage"):
+        if stats[counter] <= before[counter]:
+            return _fail(f"expected the {counter!r} recovery path to fire: "
+                         f"{stats}")
+    print(f"chaos smoke 2/4 OK: crash + hang + raise + garbage on the pool "
+          f"== serial, {stats}")
     return 0
 
 
@@ -86,7 +119,7 @@ def _chaos_run(serial, ckpt, seed):
         if stats[counter] <= before[counter]:
             return _fail(f"expected the {counter!r} recovery path to fire: "
                          f"{stats}")
-    print(f"chaos smoke 2/3 OK: seeded chaos (seed {seed}) == serial, "
+    print(f"chaos smoke 3/4 OK: seeded chaos (seed {seed}) == serial, "
           f"{stats}")
     return 0
 
@@ -154,7 +187,7 @@ def _interrupt_and_resume(serial, ckpt):
         return _fail("second resume diverged from serial")
     if final["requeued"] != stats["requeued"]:
         return _fail("a reclaimed lease was re-queued twice")
-    print(f"chaos smoke 3/3 OK: SIGINT resume == serial "
+    print(f"chaos smoke 4/4 OK: SIGINT resume == serial "
           f"(resumed={resumed} requeued={requeued})")
     return 0
 
@@ -169,6 +202,9 @@ def main():
         rc = _clean_run(serial, os.path.join(d, "clean"))
         if rc:
             return rc
+    rc = _pool_run(serial)
+    if rc:
+        return rc
     with tempfile.TemporaryDirectory() as d:
         rc = _chaos_run(serial, os.path.join(d, "chaos"), seed)
         if rc:
@@ -177,7 +213,7 @@ def main():
         rc = _interrupt_and_resume(serial, os.path.join(d, "resume"))
         if rc:
             return rc
-    print("chaos smoke OK: all three acts bit-identical to serial")
+    print("chaos smoke OK: all four acts bit-identical to serial")
     return 0
 
 

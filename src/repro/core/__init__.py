@@ -26,16 +26,8 @@ from repro.core.experiment import (
     workload_database,
     workload_trace_cache,
 )
-from repro.core.backend import (
-    InProcessBackend,
-    PoolBackend,
-    SweepBackend,
-    WorkerBackend,
-    fabric_stats,
-)
-from repro.core.checkpoint import CheckpointJournal
+from repro.core.backend import fabric_stats
 from repro.core.errors import (
-    CheckpointError,
     InvalidPointResult,
     LeaseExpired,
     LedgerError,
@@ -62,7 +54,7 @@ from repro.core.run import (
     run_experiments,
 )
 from repro.core.sweep import (
-    SweepPoint, configure_sweep, run_sweep, summarize, supervisor_stats,
+    SweepPoint, run_sweep, summarize, supervisor_stats,
 )
 from repro.core.tracecache import QueryTrace, TraceCache
 
@@ -73,14 +65,8 @@ __all__ = [
     "current_run_config",
     "run_experiments",
     "MetricsRegistry",
-    "CheckpointJournal",
     "LeaseLedger",
-    "SweepBackend",
-    "InProcessBackend",
-    "PoolBackend",
-    "WorkerBackend",
     "fabric_stats",
-    "CheckpointError",
     "InvalidPointResult",
     "LeaseExpired",
     "LedgerError",
@@ -94,7 +80,6 @@ __all__ = [
     "WorkerError",
     "WorkerProtocolError",
     "is_retryable",
-    "configure_sweep",
     "supervisor_stats",
     "LocalityReport",
     "analyze",

@@ -1,28 +1,43 @@
-"""Pluggable sweep executors: one :class:`SweepBackend` contract, three fabrics.
+"""Sweep execution: one supervisor over two transports.
 
-:func:`repro.core.sweep.run_sweep` computes *what* must run (the memo
-misses) and this module decides *how*: every backend takes the same
-``(todo, scale, seed, config, journal)`` and returns summaries in ``todo``
-order, bit-identical to serial execution -- summaries are plain JSON-safe
-dicts, so no fabric can change a result, only its latency.
+:func:`repro.core.sweep.run_sweep` computes *what* must run (the memo and
+ledger misses); this module runs it when more than one process is wanted.
+:func:`supervise` is the only scheduler: it alone decides what a failure
+costs a point (one attempt, exponential backoff, requeue), when a point
+stops being retried (the retry budget is spent, or
+:func:`~repro.core.errors.is_retryable` says retrying is pointless) and
+runs in the parent instead, when a point has hung (the per-point timeout),
+whether a result is a summary at all, how many executors a sweep may spawn
+before the whole transport is given up on, and what the checkpoint
+directory's lease ledger (:mod:`repro.core.ledger`) records -- claim on
+dispatch, complete on result, abandon on failure, compact at the end.
+Summaries are plain JSON-safe dicts and every point is deterministic, so no
+recovery path can change a result, only its latency.
 
-``inproc``
-    the points run serially in the parent (the ``jobs=1`` path).
-``pool``
-    the supervised ``spawn`` process pool
-    (:func:`repro.core.sweep._run_supervised`): traces ship as encoded
-    bytes through the pool initializer.
-``workers``
-    the lease-based multi-worker fabric this module adds:
-    ``repro-sweep-worker`` subprocesses (:mod:`repro.core.worker`) speak a
-    length-prefixed JSON protocol over their stdio pipes and fetch traces
-    *by store key* from a spool directory -- nothing bigger than a key
-    crosses the pipe, and no trace array is ever pickled onto it.  With a
-    checkpoint directory configured, every point's lifecycle is journaled
-    in the lease ledger (:mod:`repro.core.ledger`): claim on assignment,
-    heartbeat while computing, complete/abandon on the way out -- so a
-    parent crash mid-sweep leaves a ledger any later run can resume from,
-    reclaiming exactly the points that were in flight.
+Beneath it a *transport* owns only what differs between ways of reaching a
+worker process -- ``start(want, budget)``, ``alive``, ``free_slots()``,
+``submit(i, attempt, point)``, ``poll(tick)``, ``kill(i)``, ``close()``
+-- and reports what happened to each submitted point as ``(kind, index,
+payload)`` events: ``result`` (the returned object), ``error`` (the worker
+raised; the exception), ``lost`` (the transport lost the point: an
+exception to charge it with, or ``None`` for collateral that retries
+free).
+
+``pool`` (:class:`PoolTransport`)
+    a ``spawn`` ``ProcessPoolExecutor``; traces ship as encoded bytes
+    through the pool initializer.  A dead worker breaks the whole pool
+    (every in-flight point is lost and charged -- the culprit is
+    unknowable), and a kill tears the pool down (the other in-flight
+    points are lost uncharged).
+``workers`` (:class:`WorkerTransport`)
+    ``repro-sweep-worker`` subprocesses (:mod:`repro.core.worker`) that
+    speak a length-prefixed JSON protocol over their stdio pipes and fetch
+    traces *by store key* from a spool directory -- nothing bigger than a
+    key crosses the pipe, and no trace array is ever pickled onto it.  A
+    dead worker (EOF), a corrupt frame (CRC mismatch; the stream past the
+    damage is unsynchronized, so the worker is discarded) or heartbeat
+    silence past the lease TTL (a stall or partition, detected with the
+    parent's monotonic clock) loses one point; a kill takes one worker.
 
 Frame format (little-endian)::
 
@@ -33,34 +48,42 @@ Frame format (little-endian)::
 Parent -> worker ops: ``init``, ``run``, ``shutdown``.
 Worker -> parent ops: ``ready``, ``heartbeat``, ``result``, ``error``.
 
-The fabric recovers from every worker failure mode the pool supervisor
-covers, plus the protocol-level ones it cannot have: a dead worker (EOF),
-a stalled or partitioned worker (heartbeat silence past the lease TTL,
-detected with the parent's monotonic clock), a corrupt frame (CRC
-mismatch; the stream past the damage is unsynchronized, so the worker is
-killed and respawned), and a hung point (the per-point timeout).  Failed
-points are charged and retried with the same backoff policy as the pool;
-points that exhaust the budget -- or the whole fabric, if the spawn
-budget runs dry -- degrade to in-process execution in the parent.  All of
-it is deterministic to exercise: :mod:`repro.core.faults` worker-targeted
-kinds (``wstall``/``wpartition``/``wcorrupt``) and seeded chaos fire
-inside the workers by ``(point index, attempt)`` coordinate.
+All of it is deterministic to exercise: :mod:`repro.core.faults` fires
+crashes, hangs, raises and garbage inside either transport's workers by
+``(point index, attempt)`` coordinate, plus the stdio-only kinds
+(``wstall``/``wpartition``/``wcorrupt``) and seeded chaos.
 """
 
 import json
+import multiprocessing
 import os
 import selectors
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 import zlib
+from concurrent.futures import (
+    FIRST_COMPLETED, BrokenExecutor, CancelledError, ProcessPoolExecutor,
+    wait as _futures_wait,
+)
 
 from repro.core.errors import (
-    InvalidPointResult, LeaseExpired, PointTimeout, WorkerError,
-    WorkerProtocolError, decode_error, is_retryable,
+    InvalidPointResult, LeaseExpired, PointFailure, PointTimeout,
+    WorkerError, WorkerProtocolError, decode_error, is_retryable,
 )
+from repro.core.sweep import (
+    _POINT_SECONDS_BUCKETS, _needed_traces, _point_cache_key, _store_keys,
+    _sup_count, _trace_for, _valid_summary, run_point, simulate_point,
+)
+from repro.core.tracestore import (
+    decode_trace, encode_trace, get_strict, save_trace, set_strict,
+    trace_filename,
+)
+from repro.memsim.batch import default_kernel, set_default_kernel
 from repro.obs import events as obs_events
 from repro.obs.metrics import registry
 from repro.obs.spans import span
@@ -83,11 +106,16 @@ _FABRIC_METRICS = {
 
 
 def fabric_stats():
-    """Worker-fabric health counters (views over the metrics registry):
-    worker spawns/deaths, stale-lease kills, corrupt protocol frames,
-    whole-fabric degradations, and resume-requeued points."""
+    """Transport health counters (views over the metrics registry):
+    worker spawns/deaths, stale-heartbeat kills, corrupt protocol frames,
+    whole-transport degradations, and resume-requeued points."""
     reg = registry()
     return {key: reg.value(name) for key, name in _FABRIC_METRICS.items()}
+
+
+def _heartbeat_interval(lease_ttl):
+    """Seconds between liveness signals for a lease of ``lease_ttl``."""
+    return max(0.05, min(1.0, lease_ttl / 4.0))
 
 
 # -- wire protocol ---------------------------------------------------------
@@ -141,10 +169,8 @@ class FrameBuffer:
 
 def point_to_wire(point):
     """A :class:`~repro.core.sweep.SweepPoint` as a JSON-safe dict."""
-    from repro.core.checkpoint import _plain
-
     return {
-        "key": _plain(point.key),
+        "key": point.key,
         "qid": point.qid,
         "machine": dict(point.machine),
         "n_procs": point.n_procs,
@@ -174,83 +200,202 @@ def point_from_wire(data):
     )
 
 
-# -- the backend contract --------------------------------------------------
+# -- the pool transport ----------------------------------------------------
 
-class SweepBackend:
-    """Strategy interface: run ``todo`` and return summaries in order.
+_WORKER_ARGS = None
 
-    Implementations must be bit-identical to serial execution and must
-    record completions in ``journal`` (when one is configured) the moment
-    each summary exists.
+#: Traces shipped by the sweep parent: ``store key -> encoded bytes``
+#: (``None`` outside a pool worker), with lazily decoded instances beside
+#: them.  Keeping the bytes and decoding on demand means a worker only
+#: pays for the traces its assigned points actually replay.
+_SHIPPED = None
+_SHIPPED_DECODED = {}
+
+
+def _shipped_trace(tkey):
+    trace = _SHIPPED_DECODED.get(tkey)
+    if trace is None:
+        trace, _ = decode_trace(_SHIPPED[tkey])
+        _SHIPPED_DECODED[tkey] = trace
+    return trace
+
+
+def _worker_init(scale, seed, shipped=None, strict_store=False,
+                 kernel="auto"):
+    global _WORKER_ARGS, _SHIPPED
+    _WORKER_ARGS = (scale, seed)
+    _SHIPPED = shipped
+    if strict_store:
+        set_strict(True)
+    if kernel != "auto":
+        set_default_kernel(kernel)
+
+
+def _worker_task(index, attempt, point):
+    """One pool task: fault-injection hook, then the simulation.
+
+    ``index`` is the point's submission index and ``attempt`` its retry
+    count -- the coordinates :mod:`repro.core.faults` keys injected
+    crashes/hangs/garbage on, so every recovery path is deterministic to
+    exercise.
     """
+    from repro.core import faults
 
-    name = "abstract"
-
-    def run(self, todo, scale, seed, config, journal):
-        raise NotImplementedError
-
-
-class InProcessBackend(SweepBackend):
-    """Serial execution in the parent: the reference the others must match."""
-
-    name = "inproc"
-
-    def run(self, todo, scale, seed, config, journal):
-        from repro.core.sweep import _point_cache_key, _releasing, run_point
-
-        results = []
-        for point in _releasing(todo):
-            summary = run_point(point, scale, seed=seed)
-            if journal is not None:
-                journal.append(_point_cache_key(point, scale, seed), summary)
-            obs_events.emit("point.done", key=repr(point.key))
-            results.append(summary)
-        return results
+    garbage = faults.maybe_inject(index, attempt)
+    if garbage is not None:
+        return garbage
+    scale, seed = _WORKER_ARGS
+    return simulate_point(point, scale, [
+        _shipped_trace(tkey) for tkey in _store_keys(point, scale, seed)])
 
 
-class PoolBackend(SweepBackend):
-    """The supervised ``spawn`` process pool behind the common contract."""
+def _terminate_pool(pool):
+    """Kill a pool's worker processes outright (hung or broken pool)."""
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.terminate()
+        except OSError:
+            pass
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    except Exception:
+        pass  # a broken pool may refuse a clean shutdown; workers are dead
+
+
+class PoolTransport:
+    """A ``spawn`` process pool (module docstring).
+
+    One engine execution (or one store load) per unique trace, all in the
+    parent -- workers receive the encoded bytes through the pool
+    initializer and never build a database.  A fresh pool first runs one
+    no-op per worker process, and a slot only counts as free once its
+    no-op is back: points are submitted to processes that have finished
+    starting, so the supervisor's per-point timeout measures the point and
+    not the interpreter start-up before it.
+    """
 
     name = "pool"
 
-    def run(self, todo, scale, seed, config, journal):
-        from repro.core.sweep import _run_supervised
+    def __init__(self, todo, scale, seed, config):
+        self.capacity = min(config.jobs, len(todo))
+        with span("encode", points=len(todo)):
+            shipped = {skey: encode_trace(skey, _trace_for(scale, skey))
+                       for skey in _needed_traces(todo, scale, seed)}
+        self._initargs = (scale, seed, shipped, get_strict(),
+                          default_kernel())
+        self._pool = None
+        self._warming = set()
+        self._inflight = {}       # future -> point index
+        self._events = []
 
-        if config.jobs <= 1 or len(todo) <= 1:
-            return InProcessBackend().run(todo, scale, seed, config, journal)
-        return _run_supervised(todo, scale, seed, config, journal)
+    @property
+    def alive(self):
+        return self._pool is not None
+
+    def start(self, want, budget):
+        if self._pool is not None or not want or budget < 1:
+            return 0
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.capacity,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_init, initargs=self._initargs)
+        try:
+            self._warming = {self._pool.submit(os.getpid)
+                             for _ in range(self.capacity)}
+        except Exception as exc:
+            self._teardown(exc)
+        return 1
+
+    def free_slots(self):
+        if self._pool is None:
+            return 0
+        return self.capacity - len(self._inflight) - len(self._warming)
+
+    def submit(self, i, attempt, point):
+        try:
+            fut = self._pool.submit(_worker_task, i, attempt, point)
+        except Exception as exc:
+            # submit also spawns worker processes, so a worker dying while
+            # we are still submitting surfaces here: usually as
+            # BrokenExecutor, but the manager thread tears the queues down
+            # concurrently, so mid-spawn it can be an OSError ("handle is
+            # closed") or ValueError from the half-pickled queue instead.
+            # Same recovery either way.
+            self._events.append(("lost", i, exc))
+            self._teardown(exc)
+            return
+        self._inflight[fut] = i
+
+    def poll(self, tick):
+        futures = list(self._warming) + list(self._inflight)
+        if self._events:
+            pass                      # report what is already known first
+        elif futures:
+            done, _ = _futures_wait(futures, timeout=tick,
+                                    return_when=FIRST_COMPLETED)
+            self._collect(done)
+        elif self._pool is not None:
+            time.sleep(tick)          # every pending point is embargoed
+        events, self._events = self._events, []
+        return events
+
+    def _collect(self, done):
+        broken = None
+        for fut in done:
+            i = self._inflight.pop(fut, None)   # None: a start-up no-op
+            self._warming.discard(fut)
+            try:
+                event = ("result", i, fut.result())
+            except (BrokenExecutor, CancelledError) as exc:
+                # A worker died mid-task.  CancelledError (a BaseException)
+                # appears when the dying pool cancelled the future first.
+                broken = exc
+                event = ("lost", i, exc)
+            except Exception as exc:
+                event = ("error", i, exc)
+            if i is not None:
+                self._events.append(event)
+        if broken is not None:
+            self._teardown(broken)
+
+    def kill(self, i):
+        self._inflight = {f: j for f, j in self._inflight.items() if j != i}
+        self._events = [e for e in self._events if e[1] != i]
+        if self._pool is not None:
+            self._teardown(None)
+
+    def _teardown(self, exc):
+        """Kill the pool and report its in-flight points lost.
+
+        With ``exc`` (pool breakage) every one of them is charged: the
+        culprit is unknowable, and an uncharged requeue would retry a
+        crash-on-attempt-N point at the same attempt forever.  Without (a
+        kill, where the supervisor knows and charges the culprit), the
+        collateral points retry free -- a point that keeps hanging is
+        charged when it times out itself.
+        """
+        self._events.extend(("lost", i, exc)
+                            for i in self._inflight.values())
+        self._inflight = {}
+        self._warming = set()
+        pool, self._pool = self._pool, None
+        with span("pool-respawn"):
+            _terminate_pool(pool)
+        _sup_count("respawns")
+        obs_events.emit("pool.respawn",
+                        cause=type(exc).__name__ if exc else "timeout")
+
+    def close(self):
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if self._inflight or self._warming:
+            _terminate_pool(pool)
+        else:
+            pool.shutdown(wait=True)
 
 
-class WorkerBackend(SweepBackend):
-    """The lease-based ``repro-sweep-worker`` fabric (module docstring)."""
-
-    name = "workers"
-
-    def run(self, todo, scale, seed, config, journal):
-        return _WorkerFabric(todo, scale, seed, config, journal).run()
-
-
-def resolve_backend(config, n_todo):
-    """The executor for one sweep, or ``None`` for ``run_sweep``'s own
-    serial tail loop (the ``auto``-with-one-job fast path, which needs no
-    dispatch layer at all)."""
-    name = getattr(config, "backend", "auto")
-    if name == "workers":
-        return WorkerBackend()
-    if name == "pool":
-        return PoolBackend()
-    if name == "inproc":
-        return InProcessBackend()
-    if name == "auto":
-        if config.jobs > 1 and n_todo > 1:
-            return PoolBackend()
-        return None
-    raise ValueError(
-        f"unknown sweep backend {name!r} "
-        "(expected auto, inproc, pool, or workers)")
-
-
-# -- the worker fabric -----------------------------------------------------
+# -- the workers transport -------------------------------------------------
 
 class _WorkerProc:
     """Parent-side handle on one ``repro-sweep-worker`` subprocess."""
@@ -260,12 +405,8 @@ class _WorkerProc:
         self.proc = proc
         self.buf = FrameBuffer()
         self.ready = False
-        self.task = None          # (point index, assigned monotonic time)
+        self.task = None          # index of the point it holds
         self.last_seen = time.monotonic()
-
-    @property
-    def busy(self):
-        return self.task is not None
 
     def send(self, obj):
         self.proc.stdin.write(pack_frame(obj))
@@ -287,64 +428,33 @@ class _WorkerProc:
             pass
 
 
-class _WorkerFabric:
-    """One sweep's worth of supervised worker subprocesses.
+class WorkerTransport:
+    """``repro-sweep-worker`` subprocesses on stdio pipes (module docstring).
 
     All state is instance-local (nothing module-global is written), the
-    parent's clocks are monotonic, and every transition emits an obs
-    event -- ``--progress`` renders the fabric's health live.
+    parent's clocks are monotonic, and every worker transition emits an obs
+    event -- ``--progress`` renders the workers' health live.
     """
+
+    name = "workers"
 
     #: Grace multiplier for a worker that has not said ``ready`` yet
     #: (interpreter start-up is slower than any heartbeat interval).
     INIT_GRACE = 15.0
 
-    def __init__(self, todo, scale, seed, config, journal):
-        from repro.core.sweep import _point_cache_key
-
+    def __init__(self, todo, scale, seed, config):
         self.todo = todo
         self.scale = scale
         self.seed = seed
-        self.config = config
-        self.journal = journal
-        self.ledger = journal if hasattr(journal, "claim") else None
-        n = len(todo)
-        self.results = [None] * n
-        self.attempts = [0] * n
-        self.last_error = [None] * n
-        self.not_before = [0.0] * n
-        self.pending = list(range(n))
-        self.fallback = []
+        self.capacity = min(len(todo), config.workers or max(2, config.jobs))
+        self.lease_ttl = float(config.lease_ttl or 30.0)
         self.workers = {}
-        self.sel = selectors.DefaultSelector()
-        self.n_workers = min(n, config.workers or max(2, config.jobs))
-        self.spawn_budget = max(4, 2 * n) + self.n_workers
-        self.lease_ttl = float(getattr(config, "lease_ttl", 30.0) or 30.0)
-        self.hb_interval = max(0.05, min(1.0, self.lease_ttl / 4.0))
-        self.ckeys = [_point_cache_key(p, scale, seed) for p in todo]
+        self._events = []
         self._next_wid = 0
-        self._spool = None
-        self._own_spool = False
-        self.trace_keys = []
+        self._spool_traces(config.checkpoint_dir)
+        self.sel = selectors.DefaultSelector()
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def run(self):
-        self._spool_traces()
-        obs_events.emit("backend.start", backend="workers",
-                        workers=self.n_workers, points=len(self.todo))
-        try:
-            self._loop()
-        finally:
-            # Kill, never abandon: an interrupt must leave the claims in
-            # the ledger so the next run's reclaim sees them as stale.
-            self._shutdown()
-        self._run_fallbacks()
-        if self.ledger is not None:
-            self.ledger.compact()
-        return self.results
-
-    def _spool_traces(self):
+    def _spool_traces(self, checkpoint_dir):
         """Make every needed trace loadable by store key.
 
         The spool is the configured trace store when there is one (the
@@ -354,49 +464,82 @@ class _WorkerFabric:
         arrays.
         """
         from repro.core.experiment import get_trace_dir
-        from repro.core.sweep import _releasing, _trace_keys, _variant
-        from repro.core.tracestore import save_trace, store_key, trace_filename
 
-        store_dir = get_trace_dir()
-        if store_dir is None:
-            if self.config.checkpoint_dir is not None:
-                store_dir = os.path.join(self.config.checkpoint_dir,
-                                         "trace-spool")
-            else:
-                import tempfile
-
-                store_dir = tempfile.mkdtemp(prefix="repro-spool-")
-                self._own_spool = True
-        self._spool = store_dir
+        self._spool = get_trace_dir()
+        self._own_spool = False
+        if self._spool is None and checkpoint_dir is not None:
+            self._spool = os.path.join(checkpoint_dir, "trace-spool")
+        elif self._spool is None:
+            self._spool = tempfile.mkdtemp(prefix="repro-spool-")
+            self._own_spool = True
         with span("spool", points=len(self.todo)):
-            for point in _releasing(self.todo):
-                skeys = []
-                for tkey in _trace_keys(point, self.scale):
-                    lock_check, qid, qseed, node, arena = tkey
-                    skey = store_key(self.scale.name, self.seed, qid, qseed,
-                                     node, arena, lock_check)
-                    path = os.path.join(store_dir, trace_filename(skey))
-                    if not os.path.exists(path):
-                        cache = _variant(self.scale, self.seed, lock_check)
-                        trace = cache.get(qid, qseed, node, arena_size=arena)
-                        save_trace(store_dir, skey, trace)
-                    skeys.append(list(skey))
-                self.trace_keys.append(skeys)
+            for skey in _needed_traces(self.todo, self.scale, self.seed):
+                path = os.path.join(self._spool, trace_filename(skey))
+                if not os.path.exists(path):
+                    save_trace(self._spool, skey,
+                               _trace_for(self.scale, skey))
 
-    def _loop(self):
-        timeout = self.config.point_timeout
-        tick = min(0.1, self.hb_interval,
-                   (timeout / 5.0) if timeout else 0.1)
-        while self.pending or self._busy_count():
-            self._spawn_missing()
-            if not self.workers and self.pending:
-                self._degrade("no live workers and spawn budget exhausted")
-                return
-            self._assign()
-            self._poll(tick)
-            self._check_health()
+    # -- the transport interface -------------------------------------------
 
-    def _shutdown(self):
+    @property
+    def alive(self):
+        return len(self.workers)
+
+    def start(self, want, budget):
+        missing = min(self.capacity, want) - len(self.workers)
+        spawned = max(0, min(missing, budget))
+        for _ in range(spawned):
+            self._spawn_one()
+        return spawned
+
+    def free_slots(self):
+        return sum(1 for w in self.workers.values()
+                   if w.ready and w.task is None)
+
+    def submit(self, i, attempt, point):
+        w = next(w for _wid, w in sorted(self.workers.items())
+                 if w.ready and w.task is None)
+        keys = _store_keys(point, self.scale, self.seed)
+        try:
+            w.send({"op": "run", "index": i, "attempt": attempt,
+                    "point": point_to_wire(point),
+                    "trace_keys": [list(skey) for skey in keys]})
+        except OSError as exc:
+            self._events.append(("lost", i, None))
+            self._worker_died(w, f"write failed: {exc}")
+            return
+        w.task = i
+        w.last_seen = time.monotonic()
+
+    def poll(self, tick):
+        idle = not self._events and self.workers
+        for key, _mask in self.sel.select(timeout=tick if idle else 0):
+            w = key.data
+            if w.id not in self.workers:
+                continue
+            try:
+                data = os.read(key.fileobj.fileno(), 1 << 16)
+            except BlockingIOError:
+                continue
+            except OSError:
+                data = b""
+            if not data:
+                self._worker_died(w, "stdout closed")
+                continue
+            w.buf.feed(data)
+            self._drain_frames(w)
+        self._check_health()
+        events, self._events = self._events, []
+        return events
+
+    def kill(self, i):
+        self._events = [e for e in self._events if e[1] != i]
+        for w in list(self.workers.values()):
+            if w.task == i:
+                w.task = None
+                self._worker_died(w, "point timeout")
+
+    def close(self):
         for wid in sorted(self.workers):
             w = self.workers[wid]
             try:
@@ -411,53 +554,16 @@ class _WorkerFabric:
                 w.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except Exception:
                 pass
-            try:
-                self.sel.unregister(w.proc.stdout)
-            except (KeyError, ValueError):
-                pass
             w.kill()
         self.workers.clear()
         self.sel.close()
-        if self._own_spool and self._spool:
-            import shutil
-
+        if self._own_spool:
             shutil.rmtree(self._spool, ignore_errors=True)
-
-    def _run_fallbacks(self):
-        """Graceful degradation: repeatedly failed points run in the
-        parent, exactly like the pool supervisor's fallback pass."""
-        from repro.core.sweep import _point_failure, run_point
-
-        for i in sorted(self.fallback):
-            point = self.todo[i]
-            try:
-                summary = run_point(point, self.scale, seed=self.seed)
-            except Exception as exc:
-                worker_exc = self.last_error[i]
-                raise _point_failure(
-                    point, self.attempts[i], exc,
-                    timeout=isinstance(worker_exc, PointTimeout)) from exc
-            self._record(i, summary)
-            obs_events.emit("point.done", index=i, key=repr(point.key),
-                            attempts=self.attempts[i], fallback=True)
 
     # -- spawning ----------------------------------------------------------
 
-    def _busy_count(self):
-        return sum(1 for w in self.workers.values() if w.busy)
-
-    def _spawn_missing(self):
-        want = min(self.n_workers, len(self.pending) + self._busy_count())
-        for _ in range(max(0, want - len(self.workers))):
-            if self.spawn_budget <= 0:
-                break
-            self.spawn_budget -= 1
-            self._spawn_one()
-
     def _spawn_one(self):
         import repro
-        from repro.core.tracestore import get_strict
-        from repro.memsim.batch import default_kernel
 
         wid = f"w{self._next_wid}"
         self._next_wid += 1
@@ -474,99 +580,26 @@ class _WorkerFabric:
         except OSError as exc:
             obs_events.emit("worker.spawn_failed", worker=wid,
                             error=str(exc))
-            return None
+            return
         w = _WorkerProc(wid, proc)
         try:
             w.send({"op": "init", "worker": wid, "scale": self.scale.name,
                     "seed": self.seed, "store_dir": self._spool,
-                    "heartbeat": self.hb_interval,
+                    "heartbeat": _heartbeat_interval(self.lease_ttl),
                     "lease_ttl": self.lease_ttl,
                     "strict": get_strict(), "kernel": default_kernel()})
         except OSError as exc:
             obs_events.emit("worker.spawn_failed", worker=wid,
                             error=str(exc))
             w.kill()
-            return None
+            return
         self.workers[wid] = w
         os.set_blocking(proc.stdout.fileno(), False)
         self.sel.register(proc.stdout, selectors.EVENT_READ, w)
         registry().counter("sweep.worker.spawns").inc()
         obs_events.emit("worker.spawn", worker=wid, pid=proc.pid)
-        return w
-
-    # -- assignment --------------------------------------------------------
-
-    def _next_ready_point(self, now):
-        for pos, i in enumerate(self.pending):
-            if self.not_before[i] <= now:
-                return self.pending.pop(pos)
-        return None
-
-    def _assign(self):
-        now = time.monotonic()
-        for wid in sorted(self.workers):
-            w = self.workers[wid]
-            if not w.ready or w.busy:
-                continue
-            i = self._next_ready_point(now)
-            if i is None:
-                return
-            if not self._claim(i, w):
-                continue
-            try:
-                w.send({"op": "run", "index": i,
-                        "attempt": self.attempts[i],
-                        "point": point_to_wire(self.todo[i]),
-                        "trace_keys": self.trace_keys[i]})
-            except OSError as exc:
-                self.pending.insert(0, i)
-                self._release_lease(i, w.id, "send-failed")
-                self._worker_died(w, f"write failed: {exc}")
-                continue
-            w.task = (i, now)
-            w.last_seen = now
-            obs_events.emit("point.assigned", index=i, worker=w.id,
-                            attempts=self.attempts[i])
-
-    def _claim(self, i, w):
-        """Take the ledger lease for point ``i``; ``False`` defers it."""
-        if self.ledger is None:
-            return True
-        ck = self.ckeys[i]
-        if self.ledger.claim(ck, w.id, pid=w.proc.pid, ttl=self.lease_ttl):
-            obs_events.emit("lease.claim", index=i, worker=w.id)
-            return True
-        summary = self.ledger.get(ck)
-        if summary is not None:
-            # A concurrent driver sharing the ledger finished it for us.
-            self.results[i] = summary
-            obs_events.emit("point.done", index=i,
-                            key=repr(self.todo[i].key),
-                            attempts=self.attempts[i])
-            return False
-        # A foreign live lease: revisit after half a TTL.
-        self.not_before[i] = time.monotonic() + self.lease_ttl / 2.0
-        self.pending.append(i)
-        return False
 
     # -- event pump --------------------------------------------------------
-
-    def _poll(self, tick):
-        for key, _mask in self.sel.select(timeout=tick):
-            w = key.data
-            if w.id not in self.workers:
-                continue
-            try:
-                data = os.read(key.fileobj.fileno(), 1 << 16)
-            except BlockingIOError:
-                continue
-            except OSError:
-                data = b""
-            if not data:
-                self._worker_died(w, "stdout closed")
-                continue
-            w.buf.feed(data)
-            self._drain_frames(w)
 
     def _drain_frames(self, w):
         while w.id in self.workers:
@@ -589,107 +622,28 @@ class _WorkerFabric:
             w.ready = True
             obs_events.emit("worker.ready", worker=w.id,
                             pid=frame.get("pid"))
-        elif op == "heartbeat":
-            if w.busy and self.ledger is not None:
-                self.ledger.heartbeat(self.ckeys[w.task[0]], w.id)
-        elif op == "result":
-            self._on_result(w, frame)
-        elif op == "error":
-            self._on_error(w, frame)
-        # Unknown ops are tolerated: newer workers may add informational
-        # frames, and the CRC already vouches for the bytes.
-
-    def _on_result(self, w, frame):
-        from repro.core.sweep import (
-            _POINT_SECONDS_BUCKETS, _sup_count, _valid_summary,
-        )
-
-        if not w.busy or frame.get("index") != w.task[0]:
-            self._worker_died(
-                w, "result for a point it does not hold",
-                exc=WorkerProtocolError(
-                    f"worker {w.id} answered for point "
-                    f"{frame.get('index')!r} while holding {w.task!r}",
-                    worker_id=w.id))
-            return
-        i, t0 = w.task
-        w.task = None
-        summary = frame.get("summary")
-        if not _valid_summary(summary):
-            _sup_count("garbage")
-            obs_events.emit("point.garbage", index=i,
-                            key=repr(self.todo[i].key), worker=w.id)
-            self._release_lease(i, w.id, "garbage")
-            self._fail(i, InvalidPointResult(
-                f"worker {w.id} returned a non-summary object for point "
-                f"{self.todo[i].key!r}", point_key=self.todo[i].key,
-                qid=self.todo[i].qid, attempts=self.attempts[i] + 1))
-            return
-        elapsed = time.monotonic() - t0
-        registry().histogram("sweep.point.seconds",
-                             _POINT_SECONDS_BUCKETS).observe(elapsed)
-        self._record(i, summary, worker=w.id)
-        obs_events.emit("point.done", index=i, key=repr(self.todo[i].key),
-                        seconds=round(elapsed, 6),
-                        attempts=self.attempts[i] + 1, worker=w.id)
-
-    def _on_error(self, w, frame):
-        from repro.core.sweep import _sup_count
-
-        if not w.busy or frame.get("index") != w.task[0]:
-            self._worker_died(w, "error frame for a point it does not hold")
-            return
-        i, _t0 = w.task
-        w.task = None
-        exc = decode_error(frame.get("error"))
-        self._release_lease(i, w.id, type(exc).__name__)
-        obs_events.emit("point.error", index=i, worker=w.id,
-                        error=type(exc).__name__,
-                        retryable=is_retryable(exc))
-        if is_retryable(exc):
-            self._fail(i, exc)
-        else:
-            # Burning worker retries on a non-retryable error is pointless:
-            # this point goes straight to the in-process pass.
-            self.last_error[i] = exc
-            self.attempts[i] += 1
-            self.fallback.append(i)
-            _sup_count("fallbacks")
-            obs_events.emit("point.fallback", index=i,
-                            key=repr(self.todo[i].key),
-                            attempts=self.attempts[i])
+        elif op in ("result", "error"):
+            if w.task is None or frame.get("index") != w.task:
+                self._worker_died(
+                    w, "answer for a point it does not hold",
+                    exc=WorkerProtocolError(
+                        f"worker {w.id} answered for point "
+                        f"{frame.get('index')!r} while holding {w.task!r}",
+                        worker_id=w.id))
+                return
+            i, w.task = w.task, None
+            self._events.append(
+                ("result", i, frame.get("summary")) if op == "result"
+                else ("error", i, decode_error(frame.get("error"))))
+        # Heartbeats only refresh last_seen.  Unknown ops are tolerated:
+        # newer workers may add informational frames, and the CRC already
+        # vouches for the bytes.
 
     # -- failure handling --------------------------------------------------
 
-    def _fail(self, i, exc, timed_out=False):
-        """Charge a failed attempt; requeue with backoff or hand the point
-        to the in-process fallback -- the pool supervisor's exact policy."""
-        from repro.core.sweep import _sup_count
-
-        self.last_error[i] = exc
-        self.attempts[i] += 1
-        if timed_out:
-            _sup_count("timeouts")
-            obs_events.emit("point.timeout", index=i,
-                            key=repr(self.todo[i].key),
-                            attempts=self.attempts[i])
-        if self.attempts[i] > self.config.retries:
-            self.fallback.append(i)
-            _sup_count("fallbacks")
-            obs_events.emit("point.fallback", index=i,
-                            key=repr(self.todo[i].key),
-                            attempts=self.attempts[i])
-        else:
-            _sup_count("retries")
-            obs_events.emit("point.retry", index=i,
-                            key=repr(self.todo[i].key),
-                            attempts=self.attempts[i],
-                            error=type(exc).__name__)
-            self.not_before[i] = time.monotonic() + \
-                self.config.backoff * (2 ** (self.attempts[i] - 1))
-            self.pending.append(i)
-
-    def _worker_died(self, w, why, exc=None, charge=True):
+    def _worker_died(self, w, why, exc=None):
+        """Discard ``w``; the point it held (if any) is lost and charged
+        with ``exc`` (default: a :class:`WorkerError` saying ``why``)."""
         if w.id not in self.workers:
             return
         del self.workers[w.id]
@@ -700,82 +654,219 @@ class _WorkerFabric:
         w.kill()
         registry().counter("sweep.worker.deaths").inc()
         obs_events.emit("worker.dead", worker=w.id, cause=why)
-        if w.busy:
-            i, _t0 = w.task
-            w.task = None
-            self._release_lease(i, w.id, "worker-died")
-            if charge:
-                self._fail(i, exc if exc is not None else WorkerError(
-                    f"worker {w.id} died mid-point ({why})",
-                    worker_id=w.id, point_key=self.todo[i].key,
-                    qid=self.todo[i].qid, attempts=self.attempts[i] + 1))
-            else:
-                self.pending.insert(0, i)
+        if w.task is not None:
+            i, w.task = w.task, None
+            self._events.append(("lost", i, exc or WorkerError(
+                f"worker {w.id} died mid-point ({why})", worker_id=w.id,
+                point_key=self.todo[i].key, qid=self.todo[i].qid)))
 
     def _check_health(self):
         now = time.monotonic()
-        timeout = self.config.point_timeout
         for wid in sorted(self.workers):
             w = self.workers[wid]
+            silent = now - w.last_seen
             if not w.ready:
-                if now - w.last_seen > max(self.lease_ttl, self.INIT_GRACE):
+                if silent > max(self.lease_ttl, self.INIT_GRACE):
                     self._worker_died(w, "never became ready")
-                continue
-            if not w.busy:
-                continue
-            i, t0 = w.task
-            if timeout and now - t0 > timeout:
-                w.task = None
-                self._release_lease(i, w.id, "timeout")
-                self._fail(i, PointTimeout(
-                    f"sweep point {self.todo[i].key!r} exceeded the "
-                    f"{timeout:.1f}s point timeout on worker {w.id}",
-                    point_key=self.todo[i].key, qid=self.todo[i].qid,
-                    attempts=self.attempts[i] + 1), timed_out=True)
-                self._worker_died(w, "point timeout", charge=False)
-            elif now - w.last_seen > self.lease_ttl:
+            elif w.task is not None and silent > self.lease_ttl:
                 registry().counter("sweep.worker.stale").inc()
                 obs_events.emit("worker.stale", worker=w.id,
-                                seconds=round(now - w.last_seen, 3))
-                silent = now - w.last_seen
-                w.task = None
-                self._release_lease(i, w.id, "stale")
-                self._fail(i, LeaseExpired(
+                                seconds=round(silent, 3))
+                point = self.todo[w.task]
+                self._worker_died(w, "stale heartbeat", exc=LeaseExpired(
                     f"worker {w.id} went silent for {silent:.1f}s "
                     f"(lease TTL {self.lease_ttl:.1f}s) holding point "
-                    f"{self.todo[i].key!r}", worker_id=w.id,
-                    point_key=self.todo[i].key, qid=self.todo[i].qid,
-                    attempts=self.attempts[i] + 1))
-                self._worker_died(w, "stale heartbeat", charge=False)
+                    f"{point.key!r}", worker_id=w.id, point_key=point.key,
+                    qid=point.qid))
 
-    # -- bookkeeping -------------------------------------------------------
 
-    def _record(self, i, summary, worker="parent"):
-        self.results[i] = summary
-        if self.journal is None:
-            return
-        if self.ledger is not None:
-            self.ledger.complete(self.ckeys[i], summary, worker=worker)
+# -- the supervisor --------------------------------------------------------
+
+def select_transport(config, n_todo):
+    """The transport class for one sweep's ``n_todo`` memo misses, or
+    ``None`` when they run in ``run_sweep``'s own serial loop: ``inproc``,
+    or ``auto``/``pool`` with nothing to fan out."""
+    name = config.backend
+    if name not in ("auto", "inproc", "pool", "workers"):
+        raise ValueError(
+            f"unknown sweep backend {name!r} "
+            "(expected auto, inproc, pool, or workers)")
+    if name == "workers" and n_todo:
+        return WorkerTransport
+    if name != "inproc" and config.jobs > 1 and n_todo > 1:
+        return PoolTransport
+    return None
+
+
+def _point_failure(point, attempts, exc, timeout=False):
+    cls = PointTimeout if timeout else PointFailure
+    return cls(
+        f"sweep point {point.key!r} (qid={point.qid}) failed after "
+        f"{attempts} worker attempt(s) and an in-process retry: {exc}",
+        point_key=point.key, qid=point.qid, attempts=attempts, cause=exc)
+
+
+def supervise(transport, todo, scale, seed, config, ledger=None,
+              clock=time.monotonic):
+    """Run ``todo`` on ``transport``; return summaries in ``todo`` order.
+
+    ``config`` is the run's :class:`~repro.core.run.RunConfig`, read for
+    ``point_timeout``, ``retries``, ``backoff`` and ``lease_ttl``; ``clock``
+    times dispatches, backoff embargoes and the per-point timeout.  At most
+    ``transport.free_slots()`` points are in flight, dispatched in list
+    order (sweeps are built query-major, so neighbouring points share a
+    trace set and a worker's decoded-trace cache stays hot).  Every
+    recovery decision is made here, once, for both transports -- see the
+    module docstring and EXPERIMENTS.md *Robustness* for the policy table.
+    """
+    n = len(todo)
+    ckeys = [_point_cache_key(p, scale, seed) for p in todo]
+    holder = f"driver-{os.getpid()}"
+    results = [None] * n
+    attempts = [0] * n
+    last_error = [None] * n
+    not_before = [0.0] * n
+    pending = list(range(n))
+    fallback = []
+    inflight = {}                 # point index -> dispatch time
+    budget = max(4, 2 * n) + transport.capacity
+    timeout = config.point_timeout
+    tick = min(0.1, timeout / 5.0) if timeout else 0.1
+    beat = _heartbeat_interval(config.lease_ttl)
+    last_beat = clock()
+    point_seconds = registry().histogram("sweep.point.seconds",
+                                         _POINT_SECONDS_BUCKETS)
+
+    def record(i, summary, **detail):
+        results[i] = summary
+        if ledger is not None:
+            ledger.complete(ckeys[i], summary)
+        obs_events.emit("point.done", index=i, key=repr(todo[i].key),
+                        **detail)
+
+    def charge(i, exc, retry=True):
+        """One failed attempt: requeue with backoff, or -- the retry budget
+        spent, or retrying pointless -- hand the point to the in-process
+        fallback pass."""
+        if ledger is not None:
+            ledger.abandon(ckeys[i], holder, reason=type(exc).__name__)
+        last_error[i] = exc
+        attempts[i] += 1
+        if retry and attempts[i] <= config.retries:
+            _sup_count("retries")
+            obs_events.emit("point.retry", index=i, key=repr(todo[i].key),
+                            attempts=attempts[i], error=type(exc).__name__)
+            not_before[i] = clock() \
+                + config.backoff * (2 ** (attempts[i] - 1))
+            pending.append(i)
         else:
-            self.journal.append(self.ckeys[i], summary)
+            fallback.append(i)
+            _sup_count("fallbacks")
+            obs_events.emit("point.fallback", index=i,
+                            key=repr(todo[i].key), attempts=attempts[i])
 
-    def _release_lease(self, i, worker, reason):
-        if self.ledger is None:
-            return
-        from repro.core.checkpoint import canonical_key
+    def claim(i, now):
+        """Take the ledger lease for point ``i``; ``False`` defers it."""
+        if ledger is None or ledger.claim(ckeys[i], holder,
+                                          ttl=config.lease_ttl):
+            return True
+        summary = ledger.get(ckeys[i])
+        if summary is not None:
+            # A concurrent driver sharing the ledger finished it for us.
+            results[i] = summary
+            obs_events.emit("point.done", index=i, key=repr(todo[i].key),
+                            attempts=attempts[i])
+        else:
+            # A foreign live lease: revisit after half a TTL.
+            not_before[i] = now + config.lease_ttl / 2.0
+            pending.append(i)
+        return False
 
-        if canonical_key(self.ckeys[i]) in self.ledger.leases:
-            self.ledger.abandon(self.ckeys[i], worker, reason=reason)
-            obs_events.emit("lease.abandon", index=i, worker=worker,
-                            reason=reason)
+    obs_events.emit("backend.start", backend=transport.name,
+                    workers=transport.capacity, points=n)
+    try:
+        while pending or inflight:
+            now = clock()
+            budget -= transport.start(len(pending) + len(inflight), budget)
+            if not transport.alive and budget < 1:
+                # Whole-transport degrade: nothing is running and nothing
+                # more may be spawned, so whatever is left runs in-process.
+                why = "no live workers and spawn budget exhausted"
+                registry().counter("sweep.backend.degraded").inc()
+                obs_events.emit("backend.degraded", backend=transport.name,
+                                cause=why)
+                warnings.warn(f"{transport.name} backend degraded to "
+                              f"in-process execution: {why}", stacklevel=2)
+                fallback.extend(pending + list(inflight))
+                break
+            ready = [i for i in pending if not_before[i] <= now]
+            for i in ready[:transport.free_slots()]:
+                pending.remove(i)
+                if claim(i, now):
+                    transport.submit(i, attempts[i], todo[i])
+                    inflight[i] = now
+                    obs_events.emit("point.assigned", index=i,
+                                    attempts=attempts[i])
+            for kind, i, payload in transport.poll(tick):
+                t0 = inflight.pop(i, None)
+                if t0 is None:
+                    continue
+                if kind == "lost" and payload is None:
+                    pending.insert(0, i)
+                elif kind == "lost":
+                    charge(i, payload)
+                elif kind == "error":
+                    obs_events.emit("point.error", index=i,
+                                    error=type(payload).__name__,
+                                    retryable=is_retryable(payload))
+                    charge(i, payload, retry=is_retryable(payload))
+                elif _valid_summary(payload):
+                    elapsed = clock() - t0
+                    point_seconds.observe(elapsed)
+                    record(i, payload, seconds=round(elapsed, 6),
+                           attempts=attempts[i] + 1)
+                else:
+                    _sup_count("garbage")
+                    obs_events.emit("point.garbage", index=i,
+                                    key=repr(todo[i].key))
+                    charge(i, InvalidPointResult(
+                        f"worker returned a non-summary object "
+                        f"{type(payload).__name__!r} for point "
+                        f"{todo[i].key!r}", point_key=todo[i].key,
+                        qid=todo[i].qid, attempts=attempts[i] + 1))
+            now = clock()
+            for i in [i for i, t0 in inflight.items()
+                      if timeout and now - t0 > timeout]:
+                del inflight[i]
+                transport.kill(i)
+                _sup_count("timeouts")
+                obs_events.emit("point.timeout", index=i,
+                                key=repr(todo[i].key),
+                                attempts=attempts[i] + 1)
+                charge(i, PointTimeout(
+                    f"sweep point {todo[i].key!r} exceeded the "
+                    f"{timeout:.1f}s point timeout", point_key=todo[i].key,
+                    qid=todo[i].qid, attempts=attempts[i] + 1))
+            if ledger is not None and now - last_beat >= beat:
+                last_beat = now
+                for i in inflight:
+                    ledger.heartbeat(ckeys[i], holder)
+    finally:
+        # Kill, never abandon: an interrupt must leave the claims in the
+        # ledger so the next run's reclaim sees them as stale.
+        transport.close()
 
-    def _degrade(self, why):
-        registry().counter("sweep.backend.degraded").inc()
-        obs_events.emit("backend.degraded", backend="workers", cause=why)
-        warnings.warn(
-            f"worker backend degraded to in-process execution: {why}",
-            stacklevel=2)
-        for i in self.pending:
-            if i not in self.fallback:
-                self.fallback.append(i)
-        self.pending = []
+    # Graceful degradation: repeatedly failing points run in the parent,
+    # where no worker can lose them (and injected worker faults cannot
+    # fire).
+    for i in sorted(fallback):
+        try:
+            summary = run_point(todo[i], scale, seed=seed)
+        except Exception as exc:
+            raise _point_failure(
+                todo[i], attempts[i], exc,
+                timeout=isinstance(last_error[i], PointTimeout)) from exc
+        record(i, summary, attempts=attempts[i], fallback=True)
+    if ledger is not None:
+        ledger.compact()
+    return results

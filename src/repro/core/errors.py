@@ -13,12 +13,12 @@ attribute -- feeds the per-cause corruption counters that
 ``repro-experiments --time`` reports.
 
 Every type also declares whether the failure is *retryable* (``retryable``
-class attribute, read through :func:`is_retryable`): the supervised
-executor and the worker backend use the classification to decide between
-"charge an attempt and requeue" and "stop burning the retry budget, go
-straight to in-process degradation".  The classification must survive the
-worker protocol, so :func:`encode_error` / :func:`decode_error` round-trip
-any exception through plain JSON-able dicts: known repro types come back
+class attribute, read through :func:`is_retryable`): the sweep supervisor
+uses the classification to decide between "charge an attempt and requeue"
+and "stop burning the retry budget, go straight to in-process
+degradation".  The classification must survive the worker protocol, so
+:func:`encode_error` / :func:`decode_error` round-trip any exception
+through plain JSON-able dicts: known repro types come back
 as themselves (message, point identity, cause taxonomy and all); foreign
 types come back as :class:`RemoteWorkerError` carrying the original type
 name -- never a pickled exception object.
@@ -58,18 +58,15 @@ class TraceStoreWarning(UserWarning):
     """
 
 
-class CheckpointError(ReproError):
-    """A checkpoint journal could not be opened or written.
+class LedgerError(ReproError):
+    """The lease ledger could not be opened, written, or compacted -- or
+    the checkpoint directory holds only a pre-ledger journal.
 
-    Not retryable: the journal lives in the parent, and a directory that
+    Not retryable: the ledger lives in the parent, and a directory that
     cannot be created now will not create itself on the next attempt.
     """
 
     retryable = False
-
-
-class LedgerError(CheckpointError):
-    """A lease ledger could not be opened, written, or compacted."""
 
 
 class SweepError(ReproError):
@@ -170,7 +167,7 @@ _WIRE_ATTRS = ("point_key", "qid", "attempts", "cause", "worker_id",
 #: exactly.  Anything else becomes :class:`RemoteWorkerError`.
 _WIRE_TYPES = {
     cls.__name__: cls
-    for cls in (TraceStoreError, CheckpointError, LedgerError, SweepError,
+    for cls in (TraceStoreError, LedgerError, SweepError,
                 PointFailure, PointTimeout, InvalidPointResult, WorkerError,
                 WorkerProtocolError, LeaseExpired, RemoteWorkerError)
 }

@@ -23,20 +23,24 @@ touching the task payload -- as a comma-separated list of
 ``raise``
     the task raises :class:`InjectedFault` -- exercises worker exception
     propagation and retry;
+``fatal``
+    the task raises :class:`InjectedFatal`, which declares itself not
+    retryable -- exercises the straight-to-fallback rule and the
+    classification's trip across either transport;
 ``garbage``
     the task returns a non-summary object -- exercises result validation.
 
 ``*N`` makes a fault fire on the first *N* attempts of that point (default
 1), so a retried point deterministically succeeds -- or keeps failing, to
-exercise the in-process degradation path.  Faults fire only inside pool
-workers (:func:`maybe_inject` is called from the worker task body), never
-in the supervising parent, so degraded in-process execution of a
-persistently failing point completes.
+exercise the in-process degradation path.  Faults fire only inside worker
+processes (:func:`maybe_inject` is called from the worker task body of
+either transport), never in the supervising parent, so degraded in-process
+execution of a persistently failing point completes.
 
-The worker backend (:mod:`repro.core.backend`) adds *worker-targeted*
-kinds that attack the fabric instead of the computation -- same
-``kind@index[*attempts]`` grammar, fired through :func:`worker_action`
-from inside a ``repro-sweep-worker`` process:
+The ``workers`` transport (:mod:`repro.core.backend`) adds
+*worker-targeted* kinds that attack the stdio protocol instead of the
+computation -- same ``kind@index[*attempts]`` grammar, fired through
+:func:`worker_action` from inside a ``repro-sweep-worker`` process:
 
 ``wstall``
     the worker suppresses heartbeats for the point -- exercises lease
@@ -50,9 +54,9 @@ from inside a ``repro-sweep-worker`` process:
     computed -- exercises protocol-level damage detection and the
     kill-and-retry path.
 
-``crash``/``hang``/``raise``/``garbage`` fire in ``repro-sweep-worker``
-processes too (the worker's point runner calls :func:`maybe_inject` like
-a pool task does), so one grammar drives both executors.
+The compute kinds fire in ``repro-sweep-worker`` processes too (the
+worker's point runner calls :func:`maybe_inject` like a pool task does),
+so one grammar drives both transports.
 
 Finally, ``chaos@SEED[*PERCENT]`` turns on *seeded randomized chaos*: for
 every ``(point index, attempt)`` not covered by an explicit entry, a
@@ -62,7 +66,7 @@ seed always produces the same fault schedule, so a CI job can sweep a
 randomized fault matrix and still assert bit-identical results.
 
 :func:`corrupt_file` is the store-side counterpart: it bit-flips or
-truncates an on-disk artifact (trace-store entry, checkpoint journal) the
+truncates an on-disk artifact (trace-store entry, lease ledger) the
 way real disk/writer damage would, deterministically.  It doubles as a
 tiny CLI for the CI smoke job::
 
@@ -78,7 +82,7 @@ ENV_VAR = "REPRO_FAULTS"
 ENV_HANG = "REPRO_FAULTS_HANG"
 
 #: Kinds that corrupt the *computation* (fired by :func:`maybe_inject`).
-COMPUTE_KINDS = ("crash", "hang", "raise", "garbage")
+COMPUTE_KINDS = ("crash", "hang", "raise", "fatal", "garbage")
 
 #: Kinds that attack the *worker fabric* (fired by :func:`worker_action`).
 WORKER_KINDS = ("wstall", "wpartition", "wcorrupt")
@@ -101,6 +105,12 @@ CRASH_EXIT_CODE = 13
 
 class InjectedFault(RuntimeError):
     """The error an injected ``raise`` fault produces in a worker."""
+
+
+class InjectedFatal(InjectedFault):
+    """The error an injected ``fatal`` fault produces: not worth retrying."""
+
+    retryable = False
 
 
 class FaultPlan:
@@ -243,8 +253,8 @@ def maybe_inject(index, attempt):
     if kind == "hang":
         time.sleep(plan.hang_seconds)
         return None
-    if kind == "raise":
-        raise InjectedFault(
+    if kind in ("raise", "fatal"):
+        raise (InjectedFault if kind == "raise" else InjectedFatal)(
             f"injected worker failure at point {index} (attempt {attempt})")
     return dict(GARBAGE, point=index, attempt=attempt)
 

@@ -1,43 +1,52 @@
-"""Lease ledger: the checkpoint journal promoted to a crash-safe work queue.
+"""Lease ledger: the one durable record of a sweep's progress.
 
-The plain checkpoint journal (:mod:`repro.core.checkpoint`) records one
-fact -- "this point is done" -- which is enough for single-driver resume
-but invisible to everything in between: a worker that dies mid-point
-leaves no trace, so its work is indistinguishable from work never started.
-The ledger records the *whole lifecycle* of a point as typed, framed,
-individually checksummed records in one append-only file::
+``--checkpoint-dir D`` keeps one append-only file, ``D/sweep-ledger.rpll``,
+under every backend.  It records the *whole lifecycle* of a point as typed,
+framed, individually checksummed records::
 
-    claim      {op, key, worker, pid, t, ttl}     worker took the point
-    heartbeat  {op, key, worker, t}               worker still alive on it
+    claim      {op, key, worker, pid, t, ttl}     a driver took the point
+    heartbeat  {op, key, worker, t}               still in flight
     complete   {op, key, worker, t, summary}      durable result (fsynced)
     abandon    {op, key, worker, t, reason}       lease released unfinished
 
 Replaying the records rebuilds the exact work-queue state: ``completed``
-(summaries, bit-identical through JSON exactly like the journal) and
-``leases`` (who holds what, since when, for how long).  A lease is *stale*
-when its holder's pid no longer exists or its TTL has lapsed without a
-heartbeat -- either way the point is reclaimable by anyone, so a worker
-kill, stall, or partition costs one lease TTL, never the sweep.
+(summaries -- plain dicts of ints, floats, strings and lists, which survive
+the JSON round trip bit-identically) and ``leases`` (who holds what, since
+when, for how long).  A lease is *stale* when its holder's pid no longer
+exists or its TTL has lapsed without a heartbeat -- either way the point is
+reclaimable by anyone, so an interrupted or killed driver costs the points
+it had in flight, never the ones it finished.
 
-Durability discipline matches the journal: ``complete`` records are
-flushed and fsynced (a completed point survives any crash); ``claim`` and
-``abandon`` are fsynced too (they gate exactly-once requeue accounting);
-``heartbeat`` records are only flushed -- losing a heartbeat to a crash
-costs nothing but an earlier-looking lease.  Damaged tails are repaired at
-open exactly like the journal.  :meth:`compact` atomically rewrites the
-file keeping every completed summary and live claim, so a long-running
-farm's ledger stays bounded without ever losing resumability.
+Record framing follows the trace store's discipline
+(:mod:`repro.core.tracestore`), little-endian::
+
+    bytes 0..3    magic b"RPLL"
+    bytes 4..7    format version (u32)
+    bytes 8..11   payload length P (u32)
+    bytes 12..    payload: UTF-8 JSON, P bytes
+    last 4        CRC-32 of the payload (u32)
+
+``complete``, ``claim`` and ``abandon`` records are flushed and fsynced (a
+completed point survives any crash, and the other two gate exactly-once
+requeue accounting); ``heartbeat`` records are only flushed -- losing one
+to a crash costs nothing but an earlier-looking lease.  The only loss mode
+a crash can produce is therefore a truncated *tail*: loading stops at the
+first damaged record, warns, and truncates the file back to the last good
+one, so an interrupted writer never poisons later appends.
+:meth:`LeaseLedger.compact` atomically rewrites the file keeping every
+completed summary and live claim, so a long-running farm's ledger stays
+bounded without ever losing resumability.
 """
 
+import json
 import os
+import struct
 import time
 import warnings
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.checkpoint import (
-    _plain, canonical_key, iter_records, pack_record,
-)
 from repro.core.errors import LedgerError
 from repro.obs.metrics import registry
 from repro.obs.spans import span
@@ -45,12 +54,72 @@ from repro.obs.spans import span
 MAGIC = b"RPLL"
 FORMAT_VERSION = 1
 
+_PREFIX = struct.Struct("<4sII")
+_CRC = struct.Struct("<I")
+
 LEDGER_NAME = "sweep-ledger.rpll"
+
+#: The completed-points-only journal that checkpoint directories held
+#: before the ledger became the one format.  No reader is kept for it.
+_LEGACY_JOURNAL = "sweep-checkpoint.rpcj"
 
 #: Default seconds a claim stays exclusive without a heartbeat.
 DEFAULT_LEASE_TTL = 30.0
 
 OPS = ("claim", "heartbeat", "complete", "abandon")
+
+
+def canonical_key(key):
+    """The canonical string identity of a point key (tuple/list agnostic:
+    JSON has one array type)."""
+    return json.dumps(key, separators=(",", ":"))
+
+
+# -- record framing --------------------------------------------------------
+
+def pack_record(payload_obj):
+    """Frame one JSON-able payload as a self-checksummed record."""
+    payload = json.dumps(payload_obj, separators=(",", ":")).encode()
+    return (_PREFIX.pack(MAGIC, FORMAT_VERSION, len(payload))
+            + payload + _CRC.pack(zlib.crc32(payload)))
+
+
+def parse_record(data, offset):
+    """``(end_offset, payload_dict)`` for the record at ``offset``, or
+    ``None`` on any damage (truncation, bad magic/version/CRC/JSON)."""
+    if offset + _PREFIX.size > len(data):
+        return None
+    magic, version, payload_len = _PREFIX.unpack_from(data, offset)
+    if magic != MAGIC or version != FORMAT_VERSION:
+        return None
+    start = offset + _PREFIX.size
+    end = start + payload_len + _CRC.size
+    if end > len(data):
+        return None
+    payload = data[start:start + payload_len]
+    (crc,) = _CRC.unpack_from(data, start + payload_len)
+    if zlib.crc32(payload) != crc:
+        return None
+    try:
+        obj = json.loads(payload.decode())
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(obj, dict):
+        return None
+    return end, obj
+
+
+def iter_records(data):
+    """Yield ``(end_offset, payload_dict)`` for every good record, in
+    order, stopping at the first damaged one.  The caller truncates back
+    to the last yielded ``end_offset`` to repair a damaged tail."""
+    offset = 0
+    while offset < len(data):
+        record = parse_record(data, offset)
+        if record is None:
+            return
+        yield record
+        offset = record[0]
 
 
 @dataclass
@@ -79,12 +148,12 @@ def _pid_alive(pid):
 class LeaseLedger:
     """One append-only lease ledger over a sweep's points.
 
-    Journal-compatible on the completed side (``entries`` / :meth:`get` /
-    :meth:`append` mirror :class:`~repro.core.checkpoint.CheckpointJournal`,
-    so ``run_sweep`` can use either interchangeably), plus the lease
-    protocol (:meth:`claim` / :meth:`heartbeat` / :meth:`complete` /
-    :meth:`abandon`) and recovery views (:meth:`stale_leases`,
-    :meth:`reclaim_stale`).
+    ``completed`` maps :func:`canonical_key` strings to summaries
+    (:meth:`get` looks one up by point key) and ``leases`` to live
+    :class:`Lease` objects; the lease protocol is :meth:`claim` /
+    :meth:`heartbeat` / :meth:`complete` / :meth:`abandon`, the recovery
+    views :meth:`stale_leases` and :meth:`reclaim_stale`.  ``damaged``
+    counts truncated/corrupt tails repaired at open.
     """
 
     def __init__(self, directory, name=LEDGER_NAME,
@@ -96,6 +165,12 @@ class LeaseLedger:
                 f"cannot create ledger directory {directory!r}: {exc}"
             ) from exc
         self.path = os.path.join(directory, name)
+        legacy = os.path.join(directory, _LEGACY_JOURNAL)
+        if os.path.exists(legacy) and not os.path.exists(self.path):
+            raise LedgerError(
+                f"{legacy!r} is a pre-ledger checkpoint journal, which this "
+                "version cannot read: delete it to start the sweep over, or "
+                "finish that run on the commit that wrote it")
         self.lease_ttl = lease_ttl
         self.completed = {}
         self.leases = {}
@@ -107,26 +182,9 @@ class LeaseLedger:
             raise LedgerError(
                 f"cannot open lease ledger {self.path!r}: {exc}") from exc
 
-    # -- journal-compatible facade ----------------------------------------
-
-    @property
-    def entries(self):
-        """Completed summaries by canonical key (the journal contract)."""
-        return self.completed
-
     def get(self, key):
         """The completed summary for ``key``, or ``None``."""
         return self.completed.get(canonical_key(key))
-
-    def append(self, key, summary):
-        """Journal-compatible completion by the supervising parent."""
-        self.complete(key, summary, worker="parent")
-
-    def __contains__(self, key):
-        return canonical_key(key) in self.completed
-
-    def __len__(self):
-        return len(self.completed)
 
     # -- loading -----------------------------------------------------------
 
@@ -141,7 +199,7 @@ class LeaseLedger:
                 f"cannot read lease ledger {self.path!r}: {exc}") from exc
         good = 0
         total = len(data)
-        for end, payload in iter_records(data, MAGIC, FORMAT_VERSION):
+        for end, payload in iter_records(data):
             if not self._apply(payload):
                 break
             good = end
@@ -185,7 +243,7 @@ class LeaseLedger:
     # -- writing -----------------------------------------------------------
 
     def _write(self, payload, sync):
-        record = pack_record(MAGIC, FORMAT_VERSION, payload)
+        record = pack_record(payload)
         try:
             self._fh.write(record)
             self._fh.flush()
@@ -226,7 +284,7 @@ class LeaseLedger:
             return False
         ttl = self.lease_ttl if ttl is None else ttl
         pid = os.getpid() if pid is None else pid
-        self._write({"op": "claim", "key": _plain(key), "worker": worker,
+        self._write({"op": "claim", "key": key, "worker": worker,
                      "pid": pid, "t": now, "ttl": ttl}, sync=True)
         self.leases[ck] = Lease(worker=worker, pid=pid, t=now, ttl=ttl)
         registry().counter("ledger.claims").inc()
@@ -239,7 +297,7 @@ class LeaseLedger:
         if lease is None or lease.worker != worker:
             return False
         now = self._now() if now is None else now
-        self._write({"op": "heartbeat", "key": _plain(key),
+        self._write({"op": "heartbeat", "key": key,
                      "worker": worker, "t": now}, sync=sync)
         lease.t = now
         return True
@@ -248,7 +306,7 @@ class LeaseLedger:
         """Durably record ``key``'s summary; releases any lease on it."""
         ck = canonical_key(key)
         with span("ledger-complete", key=ck):
-            self._write({"op": "complete", "key": _plain(key),
+            self._write({"op": "complete", "key": key,
                          "worker": worker, "t": self._now(),
                          "summary": summary}, sync=True)
         self.completed[ck] = summary
@@ -257,11 +315,7 @@ class LeaseLedger:
 
     def abandon(self, key, worker, reason=""):
         """Release ``worker``'s unfinished lease on ``key`` explicitly."""
-        ck = canonical_key(key)
-        self._write({"op": "abandon", "key": _plain(key), "worker": worker,
-                     "t": self._now(), "reason": reason}, sync=True)
-        self.leases.pop(ck, None)
-        registry().counter("ledger.abandons").inc()
+        self.abandon_canonical(canonical_key(key), worker, reason=reason)
 
     # -- recovery ----------------------------------------------------------
 
@@ -292,7 +346,7 @@ class LeaseLedger:
 
     def abandon_canonical(self, ck, worker, reason=""):
         """:meth:`abandon` by canonical key (recovery paths hold those)."""
-        self._write({"op": "abandon", "key": _from_canonical(ck),
+        self._write({"op": "abandon", "key": json.loads(ck),
                      "worker": worker, "t": self._now(),
                      "reason": reason}, sync=True)
         self.leases.pop(ck, None)
@@ -318,14 +372,14 @@ class LeaseLedger:
         try:
             with open(tmp, "wb") as fh:
                 for ck in sorted(self.completed):
-                    fh.write(pack_record(MAGIC, FORMAT_VERSION, {
-                        "op": "complete", "key": _from_canonical(ck),
+                    fh.write(pack_record({
+                        "op": "complete", "key": json.loads(ck),
                         "worker": "compact", "t": now,
                         "summary": self.completed[ck]}))
                 for ck in sorted(self.leases):
                     lease = self.leases[ck]
-                    fh.write(pack_record(MAGIC, FORMAT_VERSION, {
-                        "op": "claim", "key": _from_canonical(ck),
+                    fh.write(pack_record({
+                        "op": "claim", "key": json.loads(ck),
                         "worker": lease.worker, "pid": lease.pid,
                         "t": lease.t, "ttl": lease.ttl}))
                 fh.flush()
@@ -358,10 +412,3 @@ class LeaseLedger:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def _from_canonical(ck):
-    """The plain (JSON-value) key a canonical string encodes."""
-    import json
-
-    return json.loads(ck)

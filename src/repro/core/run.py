@@ -1,11 +1,7 @@
 """The unified run API: one frozen config object, one experiment driver.
 
-Before this module, every run-level knob travelled its own path: the CLI
-called ``set_trace_dir`` here, ``set_strict_store`` there, threaded
-``checkpoint_dir``/``point_timeout``/``retries`` through ``configure_sweep``,
-and passed ``jobs`` positionally into each figure module.  :class:`RunConfig`
-replaces that loose-kwarg threading with a single frozen dataclass built
-once (by the CLI, or by a library caller) and passed whole through
+Every run-level knob lives on one frozen dataclass, :class:`RunConfig`,
+built once (by the CLI, or by a library caller) and passed whole through
 runner -> sweep -> supervisor:
 
     >>> from repro.core import RunConfig, run_experiments, configure_run
@@ -13,16 +9,15 @@ runner -> sweep -> supervisor:
     >>> configure_run(cfg)
     >>> outcome = run_experiments(["fig8", "fig9"], cfg)
 
-The legacy keyword arguments of :func:`repro.core.sweep.run_sweep` keep
-working through a thin deprecation shim that warns once per process; the
-underlying process-wide stores (``sweep._SWEEP_DEFAULTS``, the trace-dir
-and strict-store globals) remain the single source of truth, so old-style
-and new-style configuration never diverge.
+:func:`configure_run` stores the config as the process default that
+:func:`repro.core.sweep.run_sweep` falls back to when it is not handed one.
+The trace directory, strict-store mode and replay kernel also have setters
+of their own (``set_trace_dir`` and friends), so those three are read back
+from their stores: :func:`current_run_config` is always what a sweep
+started now would run under.
 """
 
-import inspect
 import time
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -48,11 +43,13 @@ class RunConfig:
     (``auto``/``batched``/``horizon``/``scalar``; see
     :mod:`repro.memsim.batch` and :mod:`repro.memsim.horizon`).
 
-    ``backend`` selects the sweep executor (:mod:`repro.core.backend`):
+    ``backend`` selects the sweep transport (:mod:`repro.core.backend`):
     ``auto`` (process pool when ``jobs > 1``, else in-process), ``inproc``,
-    ``pool``, or ``workers`` -- the lease-based multi-worker fabric, sized
-    by ``workers`` (``0`` means "derive from jobs") with per-point lease
-    TTL ``lease_ttl`` seconds (:mod:`repro.core.ledger`).
+    ``pool``, or ``workers`` -- ``repro-sweep-worker`` subprocesses, sized
+    by ``workers`` (``0`` means "derive from jobs").  ``lease_ttl`` is the
+    seconds a claim in the checkpoint directory's ledger
+    (:mod:`repro.core.ledger`) stays exclusive without a heartbeat, and the
+    heartbeat silence after which a ``workers`` subprocess is given up on.
     """
 
     scale: str = "small"
@@ -86,87 +83,45 @@ class RunConfig:
         return replace(self, **changes)
 
 
-#: The last config applied by :func:`configure_run` (CLI-facing fields the
-#: legacy globals do not cover: scale, jobs, report_out, progress).
+#: The last config applied by :func:`configure_run`.
 _CURRENT = RunConfig()
 
 
 def configure_run(config):
     """Apply ``config`` to the process: the one call the CLI makes.
 
-    Sets the persistent-trace directory, strict-store mode, the supervised
-    executor's defaults, and switches the observability layer on when the
-    config asks for a report or live progress.  Library callers that want
-    per-call behaviour instead pass a config directly to
-    :func:`repro.core.sweep.run_sweep`.
+    Stores it as the process default for sweeps, sets the persistent-trace
+    directory, strict-store mode and replay kernel, and switches the
+    observability layer on when the config asks for a report or live
+    progress.  Library callers that want per-call behaviour instead pass a
+    config directly to :func:`repro.core.sweep.run_sweep`.
     """
     global _CURRENT
     from repro.core import tracestore
     from repro.core.experiment import set_trace_dir
-    from repro.core.sweep import _SWEEP_DEFAULTS
     from repro.memsim.batch import set_default_kernel
 
     _CURRENT = config
     set_trace_dir(config.trace_dir)
     tracestore.set_strict(config.strict_store)
     set_default_kernel(config.kernel)
-    _SWEEP_DEFAULTS.update(
-        checkpoint_dir=config.checkpoint_dir,
-        point_timeout=config.point_timeout,
-        retries=config.retries,
-        backoff=config.backoff,
-    )
     if config.report_out or config.progress:
         _obs_enable()
     return config
 
 
 def current_run_config(**overrides):
-    """The process's effective :class:`RunConfig`, composed from the
-    authoritative per-knob stores (so legacy ``configure_sweep`` /
-    ``set_trace_dir`` calls are reflected), with ``overrides`` applied."""
+    """The process's effective :class:`RunConfig`: the one
+    :func:`configure_run` stored, with the trace directory, strict-store
+    mode and kernel read back from their own stores (so direct
+    ``set_trace_dir`` calls are reflected) and ``overrides`` applied."""
     from repro.core import tracestore
     from repro.core.experiment import get_trace_dir
-    from repro.core.sweep import _SWEEP_DEFAULTS
     from repro.memsim.batch import default_kernel
 
-    cfg = replace(
-        _CURRENT,
-        trace_dir=get_trace_dir(),
-        strict_store=tracestore.get_strict(),
-        checkpoint_dir=_SWEEP_DEFAULTS["checkpoint_dir"],
-        point_timeout=_SWEEP_DEFAULTS["point_timeout"],
-        retries=_SWEEP_DEFAULTS["retries"],
-        backoff=_SWEEP_DEFAULTS["backoff"],
-        kernel=default_kernel(),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-#: Registry names already warned about through the legacy dispatch shim
-#: (modules present in ``REGISTRY`` but not in ``FAMILIES``).
-_LEGACY_DISPATCH_WARNED = set()
-
-
-def _legacy_run(name, mod, config):
-    """Deprecated duck-typed dispatch for non-family registry modules.
-
-    Until the family registry existed, ``run_experiments`` decided what to
-    pass a module by sniffing ``run``'s signature.  Modules someone has
-    injected into ``repro.experiments.REGISTRY`` without a ``FAMILIES``
-    entry still work through this path, with a once-per-name
-    ``DeprecationWarning`` pointing at the registry.
-    """
-    if name not in _LEGACY_DISPATCH_WARNED:
-        _LEGACY_DISPATCH_WARNED.add(name)
-        warnings.warn(
-            f"experiment {name!r} is dispatched by run() signature "
-            "sniffing; register it in repro.experiments.families.FAMILIES "
-            "instead", DeprecationWarning, stacklevel=3)
-    kwargs = {"scale": config.scale}
-    if "jobs" in inspect.signature(mod.run).parameters:
-        kwargs["jobs"] = config.jobs
-    return mod.run(**kwargs)
+    return replace(_CURRENT, trace_dir=get_trace_dir(),
+                   strict_store=tracestore.get_strict(),
+                   kernel=default_kernel(), **overrides)
 
 
 def run_experiments(names, config=None, on_result=None):
@@ -182,19 +137,17 @@ def run_experiments(names, config=None, on_result=None):
     Returns ``{"outcomes": [{"name", "results", "seconds"}, ...],
     "interrupted": bool}``.  A ``KeyboardInterrupt`` mid-run keeps the
     completed outcomes and sets ``interrupted`` (completed sweep points
-    are already durable when a checkpoint journal is configured).
+    are already durable when a checkpoint directory is configured).
     ``on_result(name, results, seconds)`` is called as each experiment
     finishes, so callers can render incrementally.
     """
-    from repro.experiments import REGISTRY
     from repro.experiments.families import FAMILIES, run_family
     from repro.workload import run_scenario
     from repro.workload.spec import ScenarioSpec
 
     config = config or current_run_config()
     unknown = [n for n in names
-               if not isinstance(n, ScenarioSpec)
-               and n not in FAMILIES and n not in REGISTRY]
+               if not isinstance(n, ScenarioSpec) and n not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown experiments: {unknown}")
 
@@ -206,12 +159,9 @@ def run_experiments(names, config=None, on_result=None):
                 name = entry.name
                 runner = lambda e=entry: run_scenario(
                     e, scale=config.scale, jobs=config.jobs, config=config)
-            elif entry in FAMILIES:
-                name = entry
-                runner = lambda n=entry: run_family(n, config)
             else:
                 name = entry
-                runner = lambda n=entry: _legacy_run(n, REGISTRY[n], config)
+                runner = lambda n=entry: run_family(n, config)
             _events.emit("experiment.start", name=name)
             start = time.monotonic()
             with span("experiment", name=name, scale=config.scale):

@@ -60,9 +60,10 @@ def _build_parser():
                              "(damaged entries re-record with a warning; "
                              "see --strict-store)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="journal completed sweep points there; an "
-                             "interrupted run resumes from the journal "
-                             "instead of restarting")
+                        help="keep the sweep's lease ledger there: "
+                             "completed points are durable under every "
+                             "backend, and an interrupted run resumes from "
+                             "it instead of restarting")
     parser.add_argument("--point-timeout", type=float, default=None,
                         metavar="SEC",
                         help="kill and retry a sweep point whose worker "
@@ -73,10 +74,10 @@ def _build_parser():
                              "(default: 2)")
     parser.add_argument("--backend", default="auto",
                         choices=["auto", "inproc", "pool", "workers"],
-                        help="sweep executor: 'auto' picks the process "
-                             "pool when --jobs > 1, 'inproc' forces "
-                             "serial, 'pool' forces the supervised pool, "
-                             "'workers' runs lease-holding "
+                        help="what the sweep supervisor drives: 'auto' "
+                             "picks the process pool when --jobs > 1, "
+                             "'inproc' forces serial, 'pool' forces the "
+                             "process pool, 'workers' runs "
                              "repro-sweep-worker subprocesses that fetch "
                              "traces by store key (default: auto)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
@@ -84,10 +85,11 @@ def _build_parser():
                              "(default: 0, derive from --jobs)")
     parser.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="SEC",
-                        help="seconds a worker's claim on a sweep point "
-                             "stays exclusive without a heartbeat; an "
-                             "expired lease is reclaimed and the point "
-                             "re-queued (default: 30)")
+                        help="seconds a ledger claim on a sweep point "
+                             "stays exclusive without a heartbeat, and the "
+                             "silence after which a --backend workers "
+                             "subprocess is killed and its point re-queued "
+                             "(default: 30)")
     parser.add_argument("--kernel", default=os.environ.get("REPRO_KERNEL",
                                                            "auto"),
                         choices=["auto", "horizon", "batched", "scalar"],
@@ -194,10 +196,10 @@ def main(argv=None):
             progress.detach()
 
     if outcome["interrupted"]:
-        # Completed points are already durable (the checkpoint journal
-        # flushes per record); report what finished instead of a traceback.
+        # Completed points are already durable (the ledger fsyncs each
+        # one); report what finished instead of a traceback.
         print("\ninterrupted"
-              + (f" -- completed sweep points are journaled under "
+              + (f" -- completed sweep points are recorded under "
                  f"{config.checkpoint_dir}; re-run the same command to resume"
                  if config.checkpoint_dir else ""),
               file=sys.stderr)

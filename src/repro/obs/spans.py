@@ -1,7 +1,7 @@
 """Phase spans: start/stop tracing around the pipeline stages.
 
 A span measures one phase of the run -- ``dbgen``, ``record``, ``encode``,
-``replay``, ``sweep-point``, ``checkpoint-append``, ``pool-respawn``,
+``replay``, ``sweep-point``, ``ledger-complete``, ``pool-respawn``,
 ``experiment`` -- with wall-clock *and* CPU time, nested parent-child the
 way the phases actually contain each other (a ``sweep-point`` contains its
 ``replay``; an ``experiment`` contains its points).  The finished tree is

@@ -474,11 +474,11 @@ def test_injected_violation_fails_the_check(tmp_path):
 
 
 def test_facts_collection_sees_repo_entry_points():
-    path = os.path.join(SRC, "repro", "core", "sweep.py")
+    path = os.path.join(SRC, "repro", "core", "backend.py")
     model = FileModel(path, open(path, encoding="utf-8").read())
     facts = collect_facts(model)
-    assert "repro.core.sweep._worker_init" in facts["entries"]
-    assert "repro.core.sweep._worker_task" in facts["entries"]
+    assert "repro.core.backend._worker_init" in facts["entries"]
+    assert "repro.core.backend._worker_task" in facts["entries"]
 
 
 def test_module_name_walks_init_chain():

@@ -140,33 +140,6 @@ def test_run_experiments_accepts_scenario_specs():
     assert scenario["summary"]["exec_time"] > 0
 
 
-def test_legacy_registry_dispatch_warns_once():
-    import types
-    import warnings
-
-    from repro.core import run as run_mod
-    from repro.core.run import RunConfig, run_experiments
-
-    legacy = types.ModuleType("legacy_exp")
-    legacy.run = lambda scale="small": {"scale": scale}
-    legacy.report = str
-    REGISTRY["legacy"] = legacy
-    run_mod._LEGACY_DISPATCH_WARNED.discard("legacy")
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = run_experiments(["legacy"], RunConfig(scale=SCALE))
-            run_experiments(["legacy"], RunConfig(scale=SCALE))
-        assert out["outcomes"][0]["results"] == {"scale": SCALE}
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "FAMILIES" in str(deprecations[0].message)
-    finally:
-        del REGISTRY["legacy"]
-        run_mod._LEGACY_DISPATCH_WARNED.discard("legacy")
-
-
 def test_runner_cli_list(capsys):
     assert runner_main(["--list"]) == 0
     out = capsys.readouterr().out

@@ -1,19 +1,19 @@
 """Lease ledger: claim lifecycle, stale reclaim, crash repair, compaction.
 
-The ledger's contract (see :mod:`repro.core.ledger`) extends the journal's
-bit-identical-resume guarantee with a work-queue one: every in-flight
-point is visible as a lease, a dead or lapsed lease is reclaimable by
-anyone, and the reclaim itself is durable -- so a resumed sweep requeues
-each interrupted point exactly once.
+The ledger's contract (see :mod:`repro.core.ledger`) joins a
+bit-identical-resume guarantee (the framing under it is pinned in
+``test_checkpoint.py``) to a work-queue one: every in-flight point is
+visible as a lease, a dead or lapsed lease is reclaimable by anyone, and
+the reclaim itself is durable -- so a resumed sweep requeues each
+interrupted point exactly once.
 """
 
 import os
 
 import pytest
 
-from repro.core.checkpoint import CheckpointJournal, canonical_key
 from repro.core.errors import LedgerError
-from repro.core.ledger import LEDGER_NAME, LeaseLedger
+from repro.core.ledger import LEDGER_NAME, LeaseLedger, canonical_key
 
 KEY_A = ("tiny", 7, "Q6", (64, 128, True), 4)
 KEY_B = ("tiny", 7, "Q12", (64, 128, True), 4)
@@ -23,16 +23,6 @@ SUMMARY = {
     "l2_grouped": {"Database": [10, 2]},
     "cpu": [{"busy": 100, "msync": 5, "mem": 7, "finish_time": 112}],
 }
-
-
-def test_journal_facade_round_trip(tmp_path):
-    with LeaseLedger(tmp_path) as ledger:
-        ledger.append(KEY_A, SUMMARY)
-        assert KEY_A in ledger and len(ledger) == 1
-    with LeaseLedger(tmp_path) as reopened:
-        assert reopened.get(KEY_A) == SUMMARY
-        assert reopened.get(KEY_B) is None
-        assert reopened.damaged == 0
 
 
 def test_claim_complete_lifecycle(tmp_path):
@@ -135,17 +125,26 @@ def test_compaction_preserves_completions_and_live_leases(tmp_path):
         # Post-compaction appends land in the new file.
         ledger.complete(KEY_B, SUMMARY, worker="w1")
     with LeaseLedger(tmp_path) as reopened:
-        assert len(reopened) == 21
+        assert len(reopened.completed) == 21
         assert reopened.get(KEY_B) == SUMMARY
         assert reopened.leases[canonical_key(KEY_A)].worker == "w1"
 
 
-def test_ledger_and_journal_are_separate_files(tmp_path):
-    with CheckpointJournal(tmp_path) as journal:
-        journal.append(KEY_A, SUMMARY)
+def test_pre_ledger_journal_is_refused_not_ignored(tmp_path):
+    # A directory left by a version that kept a completed-points journal:
+    # silently starting over would throw that run's progress away.
+    legacy = tmp_path / "sweep-checkpoint.rpcj"
+    legacy.write_bytes(b"RPCJ")
+    with pytest.raises(LedgerError, match="sweep-checkpoint.rpcj.*delete it"):
+        LeaseLedger(tmp_path)
+    assert not (tmp_path / LEDGER_NAME).exists()
+    # Beside a ledger the old file is inert: the ledger is what resumes.
+    legacy.unlink()
     with LeaseLedger(tmp_path) as ledger:
-        assert KEY_A not in ledger
-        assert os.path.basename(ledger.path) == LEDGER_NAME
+        ledger.complete(KEY_A, SUMMARY)
+    legacy.write_bytes(b"RPCJ")
+    with LeaseLedger(tmp_path) as ledger:
+        assert ledger.get(KEY_A) == SUMMARY
 
 
 def test_unwritable_directory_raises_ledger_error(tmp_path):

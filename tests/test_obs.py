@@ -13,7 +13,6 @@ Three contracts matter most and each gets direct coverage here:
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -271,7 +270,7 @@ def test_sweep_results_identical_with_observability_on():
     assert summary_hash(observed) == summary_hash(baseline)
 
 
-# -- RunConfig and the deprecation shim ---------------------------------------
+# -- RunConfig -----------------------------------------------------------------
 
 
 def test_run_config_round_trip_ignores_unknown_keys():
@@ -284,35 +283,25 @@ def test_run_config_round_trip_ignores_unknown_keys():
 
 
 def test_current_run_config_reflects_legacy_stores():
-    from repro.core.sweep import _SWEEP_DEFAULTS, configure_sweep
+    # The trace directory and strict-store mode have setters of their own;
+    # the effective config reads them back instead of trusting what
+    # configure_run last stored.
+    from repro.core import tracestore
+    from repro.core.experiment import get_trace_dir, set_trace_dir
+    from repro.core.run import configure_run
 
-    saved = dict(_SWEEP_DEFAULTS)
+    saved = current_run_config()
     try:
-        configure_sweep(point_timeout=4.5, retries=7)
+        configure_run(RunConfig(point_timeout=4.5, retries=7))
+        set_trace_dir("elsewhere")
+        tracestore.set_strict(True)
         cfg = current_run_config()
-        assert cfg.point_timeout == 4.5
-        assert cfg.retries == 7
+        assert (cfg.point_timeout, cfg.retries) == (4.5, 7)
+        assert (cfg.trace_dir, cfg.strict_store) == ("elsewhere", True)
         assert current_run_config(retries=1).retries == 1
     finally:
-        _SWEEP_DEFAULTS.clear()
-        _SWEEP_DEFAULTS.update(saved)
-
-
-def test_legacy_run_sweep_kwargs_warn_once(tmp_path):
-    import repro.core.sweep as sweep_mod
-
-    sweep_mod._LEGACY_WARNED = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_sweep(_points(1), scale=SCALE,
-                  checkpoint_dir=str(tmp_path / "ckpt"))
-        run_sweep(_points(1), scale=SCALE,
-                  checkpoint_dir=str(tmp_path / "ckpt"))
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "RunConfig" in str(w.message)]
-    assert len(deprecations) == 1
-    assert (tmp_path / "ckpt").is_dir()
+        configure_run(saved)
+    assert get_trace_dir() == saved.trace_dir
 
 
 def test_unknown_run_sweep_kwarg_raises():

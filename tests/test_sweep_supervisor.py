@@ -1,30 +1,42 @@
-"""Supervised sweep execution: every worker failure mode recovers.
+"""The sweep supervisor's fault matrix: every case on both transports.
 
-The supervisor's contract (see :mod:`repro.core.sweep`) is that a parallel
-sweep under injected crashes, hangs, raises, and garbage results completes
-with summaries bit-identical to the ``jobs=1`` run -- or, when a point
-cannot be computed at all, raises one :class:`PointFailure` carrying the
-point's identity and the original error.  Faults are injected through
-:mod:`repro.core.faults`, which ``spawn`` workers pick up from the
-environment.
+The supervisor's contract (see :mod:`repro.core.backend`) is that a sweep
+fanned out over either transport -- the process pool or the
+``repro-sweep-worker`` subprocesses -- under injected crashes, hangs,
+raises and garbage results completes with summaries bit-identical to the
+``jobs=1`` run, or, when a point cannot be computed at all, raises one
+:class:`PointFailure` carrying the point's identity and the original
+error.  There is one policy, so every case below runs the same assertions
+on both transports.  Faults are injected through :mod:`repro.core.faults`,
+which worker processes pick up from the environment.
 """
 
 import pytest
 
+from repro.core import backend
+from repro.core.backend import fabric_stats
 from repro.core.errors import PointFailure
-from repro.core.faults import ENV_VAR
+from repro.core.faults import ENV_HANG, ENV_VAR
+from repro.core.ledger import LeaseLedger
+from repro.core.run import RunConfig
 from repro.core.sweep import (
-    _SWEEP_DEFAULTS,
     SweepPoint,
+    _point_cache_key,
     clear_variant_cache,
-    configure_sweep,
     point_memo_stats,
     run_sweep,
     supervisor_stats,
 )
+from repro.tpcd.scales import get_scale
 
 SCALE = "tiny"
 LINES = (16, 32, 64, 128)
+
+#: The matrix's transport axis: the RunConfig options that select each.
+TRANSPORTS = {
+    "pool": dict(backend="pool", jobs=2),
+    "workers": dict(backend="workers", workers=2),
+}
 
 
 def _points(n):
@@ -33,12 +45,19 @@ def _points(n):
             for line in LINES[:n]]
 
 
-@pytest.fixture(autouse=True)
-def _restore_sweep_defaults():
-    saved = dict(_SWEEP_DEFAULTS)
-    yield
-    _SWEEP_DEFAULTS.clear()
-    _SWEEP_DEFAULTS.update(saved)
+def _counters():
+    return {**fabric_stats(), **supervisor_stats()}
+
+
+def _sweep(transport, points, **options):
+    """``points`` through ``transport`` (or ``"serial"``) from a cold memo;
+    returns the results and how far each recovery counter moved."""
+    clear_variant_cache()
+    before = _counters()
+    how = TRANSPORTS.get(transport) or dict(jobs=1)
+    config = RunConfig(scale=SCALE, **how, **options)
+    results = run_sweep(points, scale=SCALE, config=config)
+    return results, {k: v - before[k] for k, v in _counters().items()}
 
 
 @pytest.fixture(scope="module")
@@ -47,97 +66,215 @@ def serial3():
     return run_sweep(_points(3), scale=SCALE, jobs=1)
 
 
-def _parallel(points, **kwargs):
-    # Drop the parent's point memo so the points actually reach the pool.
-    clear_variant_cache()
-    return run_sweep(points, scale=SCALE, **kwargs)
-
-
 def test_injected_raise_is_retried(monkeypatch, serial3):
     monkeypatch.setenv(ENV_VAR, "raise@1")
-    before = supervisor_stats()
-    result = _parallel(_points(3), jobs=2)
-    after = supervisor_stats()
-    assert result == serial3
-    assert after["retries"] > before["retries"]
-    assert after["fallbacks"] == before["fallbacks"]
+    for transport in TRANSPORTS:
+        result, moved = _sweep(transport, _points(3))
+        assert result == serial3, transport
+        assert moved["retries"] == 1, transport
+        assert moved["fallbacks"] == 0, transport
 
 
 def test_crash_respawns_pool_and_garbage_is_rejected(monkeypatch, serial3):
     monkeypatch.setenv(ENV_VAR, "crash@0,garbage@2")
-    before = supervisor_stats()
-    result = _parallel(_points(3), jobs=2)
-    after = supervisor_stats()
-    assert result == serial3
-    assert after["respawns"] > before["respawns"]
-    assert after["garbage"] > before["garbage"]
+    for transport, replaced in (("pool", "respawns"), ("workers", "deaths")):
+        result, moved = _sweep(transport, _points(3))
+        assert result == serial3, transport
+        assert moved[replaced] > 0, transport
+        assert moved["garbage"] > 0, transport
 
 
 def test_hang_times_out_and_recovers(monkeypatch, serial3):
+    # The timeout is measured from dispatch to a worker that has finished
+    # starting, so it can be far shorter than an interpreter start-up.
     monkeypatch.setenv(ENV_VAR, "hang@1")
-    before = supervisor_stats()
-    result = _parallel(_points(3), jobs=2, point_timeout=8.0)
-    after = supervisor_stats()
-    assert result == serial3
-    assert after["timeouts"] > before["timeouts"]
-    assert after["respawns"] > before["respawns"]
+    monkeypatch.setenv(ENV_HANG, "60")
+    for transport, replaced in (("pool", "respawns"), ("workers", "deaths")):
+        result, moved = _sweep(transport, _points(3), point_timeout=0.5)
+        assert result == serial3, transport
+        assert moved["timeouts"] > 0, transport
+        assert moved[replaced] > 0, transport
 
 
 def test_persistent_failure_degrades_to_in_process(monkeypatch, serial3):
-    # The fault outlives the retry budget, so the point must complete in
-    # the parent (where injected faults never fire).
-    monkeypatch.setenv(ENV_VAR, "raise@0*9")
-    before = supervisor_stats()
-    result = _parallel(_points(2), jobs=2, retries=1)
-    after = supervisor_stats()
-    assert result == {p.key: serial3[p.key] for p in _points(2)}
-    assert after["fallbacks"] > before["fallbacks"]
+    # Two ways out of the retry loop, one rule on both transports.  Point
+    # 0's fault outlives the retry budget: one retry, then the parent
+    # (where injected faults never fire) computes it.  Point 1's error
+    # declares itself not retryable -- a declaration that must survive
+    # pickling and the wire -- so it goes to the parent without a retry.
+    monkeypatch.setenv(ENV_VAR, "raise@0*9,fatal@1*9")
+    for transport in TRANSPORTS:
+        result, moved = _sweep(transport, _points(3), retries=1)
+        assert result == serial3, transport
+        assert moved["retries"] == 1, transport
+        assert moved["fallbacks"] == 2, transport
 
 
 def test_worker_error_carries_point_identity():
     # A genuinely broken point (not an injected fault): the error must
     # surface with the point key and the original message, not a bare
-    # pool traceback -- and not poison the healthy point beside it.
+    # worker traceback -- and not poison the healthy point beside it.
     bad = SweepPoint(key=("Q6", "bogus"), qid="Q6", placement="bogus")
-    clear_variant_cache()
-    with pytest.raises(PointFailure, match="unknown placement") as excinfo:
-        run_sweep([_points(1)[0], bad], scale=SCALE, jobs=2, retries=0)
-    assert excinfo.value.point_key == ("Q6", "bogus")
-    assert excinfo.value.qid == "Q6"
+    for transport in TRANSPORTS:
+        with pytest.raises(PointFailure, match="unknown placement") as info:
+            _sweep(transport, [_points(1)[0], bad], retries=0)
+        assert info.value.point_key == ("Q6", "bogus"), transport
+        assert info.value.qid == "Q6", transport
+
+
+def test_spawn_budget_exhaustion_degrades_to_in_process(monkeypatch, serial3):
+    # A transport that can never bring a worker up must not respawn without
+    # bound: the budget runs out and the whole sweep runs in the parent.
+    class BrokenPool:
+        def __init__(self, **kwargs):
+            pass
+
+        def submit(self, fn, *args):
+            raise backend.BrokenExecutor("no worker ever comes up")
+
+        def shutdown(self, **kwargs):
+            pass
+
+    def no_popen(*args, **kwargs):
+        raise OSError("no worker ever comes up")
+
+    monkeypatch.setattr(backend, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(backend.subprocess, "Popen", no_popen)
+    for transport in TRANSPORTS:
+        with pytest.warns(UserWarning, match="degraded to in-process"):
+            result, moved = _sweep(transport, _points(3))
+        assert result == serial3, transport
+        assert moved["degraded"] == 1, transport
+        assert moved["fallbacks"] == 0 and moved["retries"] == 0, transport
 
 
 def test_checkpoint_resume_skips_completed_points(tmp_path, serial3):
+    # The ledger is the same file under every backend, so each run below
+    # resumes what a different one left.
     ckpt = str(tmp_path)
-    first = _parallel(_points(2), jobs=1, checkpoint_dir=ckpt)
-    assert first == {p.key: serial3[p.key] for p in _points(2)}
+    done, _ = _sweep("pool", _points(2), checkpoint_dir=ckpt)
+    assert done == {p.key: serial3[p.key] for p in _points(2)}
 
-    # Simulated restart: the memo is gone, only the journal remains.
-    clear_variant_cache()
-    before_misses = point_memo_stats()["misses"]
-    before_resumed = supervisor_stats()["resumed"]
-    again = run_sweep(_points(2), scale=SCALE, jobs=1, checkpoint_dir=ckpt)
-    assert again == first
-    assert point_memo_stats()["misses"] == before_misses
-    assert supervisor_stats()["resumed"] == before_resumed + 2
-
-    # Growing the sweep re-simulates only the new point.
-    clear_variant_cache()
-    before_misses = point_memo_stats()["misses"]
-    extended = run_sweep(_points(3), scale=SCALE, jobs=1, checkpoint_dir=ckpt)
+    # Simulated restart (the memo is gone, only the ledger remains), and
+    # the sweep has grown: only the new point is simulated.
+    extended, moved = _sweep("workers", _points(3), checkpoint_dir=ckpt)
     assert extended == serial3
-    assert point_memo_stats()["misses"] == before_misses + 1
+    assert moved["resumed"] == 2 and moved["spawns"] == 1
+
+    before_misses = point_memo_stats()["misses"]
+    for how in (*TRANSPORTS, "serial"):
+        again, moved = _sweep(how, _points(3), checkpoint_dir=ckpt)
+        assert again == serial3, how
+        assert moved["resumed"] == 3 and moved["spawns"] == 0, how
+    assert point_memo_stats()["misses"] == before_misses
+    with LeaseLedger(ckpt) as ledger:
+        assert len(ledger.completed) == 3 and not ledger.leases
 
 
-def test_configure_sweep_sets_process_defaults(tmp_path):
-    configure_sweep(checkpoint_dir=str(tmp_path), point_timeout=30.0,
-                    retries=5, backoff=0.1)
-    assert _SWEEP_DEFAULTS == {"checkpoint_dir": str(tmp_path),
-                               "point_timeout": 30.0, "retries": 5,
-                               "backoff": 0.1}
-    # None leaves settings untouched.
-    configure_sweep(retries=1)
-    assert _SWEEP_DEFAULTS["point_timeout"] == 30.0
-    assert _SWEEP_DEFAULTS["retries"] == 1
-    # The checkpoint_dir default reaches run_sweep without an argument.
-    run_sweep(_points(1), scale=SCALE)
-    assert (tmp_path / "sweep-checkpoint.rpcj").exists()
+def test_stale_lease_is_requeued_exactly_once(tmp_path, serial3):
+    """A run interrupted mid-point leaves a claim whose holder is dead; the
+    resume re-queues it exactly once, recomputes it bit-identically, and a
+    further resume re-queues nothing."""
+    points = _points(3)
+    keys = [_point_cache_key(p, get_scale(SCALE), 42) for p in points]
+    for transport in TRANSPORTS:
+        ckpt = str(tmp_path / transport)
+        # The interrupt: point 0 completed, point 1 claimed by a driver
+        # whose pid no longer exists (run_sweep seeds 42 by default).
+        with LeaseLedger(ckpt) as ledger:
+            ledger.complete(keys[0], serial3[points[0].key], worker="w0")
+            ledger.claim(keys[1], "w1", pid=2 ** 22 + 999)
+
+        result, moved = _sweep(transport, points, checkpoint_dir=ckpt)
+        assert result == serial3, transport
+        assert moved["requeued"] == 1 and moved["resumed"] == 1, transport
+
+        # Exactly once: the reclaim was durable, a second resume finds all
+        # three points completed and nothing stale.
+        result, moved = _sweep(transport, points, checkpoint_dir=ckpt)
+        assert result == serial3, transport
+        assert moved["requeued"] == 0 and moved["resumed"] == 3, transport
+        with LeaseLedger(ckpt) as ledger:
+            assert not ledger.leases
+            assert all(ledger.get(k) is not None for k in keys)
+
+
+class ScriptedTransport:
+    """An in-memory transport on a fake clock: every ``(index, attempt)``
+    it is handed is answered from ``script``, each entry once (default: the
+    right summary), so the supervisor's policy can be read off the dispatch log without a
+    process being spawned or a second being waited."""
+
+    name = "scripted"
+    capacity = 2
+    alive = 1
+
+    def __init__(self, script, summaries):
+        self.script, self.summaries = script, summaries
+        self.now = 0.0
+        self.inflight = {}
+        self.log = []             # (index, attempt, dispatch time)
+        self.killed = []
+
+    def clock(self):
+        return self.now
+
+    def start(self, want, budget):
+        return 0
+
+    def free_slots(self):
+        return self.capacity - len(self.inflight)
+
+    def submit(self, i, attempt, point):
+        self.inflight[i] = attempt
+        self.log.append((i, attempt, round(self.now, 3)))
+
+    def poll(self, tick):
+        self.now += 0.125         # a binary fraction: the clock stays exact
+        events = []
+        for i, attempt in list(self.inflight.items()):
+            kind, payload = self.script.get(
+                (i, attempt), ("result", self.summaries[i]))
+            if kind != "hang":
+                self.script.pop((i, attempt), None)
+                del self.inflight[i]
+                events.append((kind, i, payload))
+        return events
+
+    def kill(self, i):
+        del self.script[i, self.inflight.pop(i)]
+        self.killed.append(i)
+
+    def close(self):
+        assert not self.inflight
+
+
+def test_supervisor_policy_on_a_scripted_transport(serial3):
+    points = _points(3)
+    transport = ScriptedTransport({
+        (0, 0): ("error", RuntimeError("retryable by default")),
+        (0, 1): ("lost", ConnectionError("worker died")),
+        (1, 0): ("lost", None),                 # collateral: not charged
+        (2, 0): ("hang", None),
+        (2, 1): ("result", {"not": "a summary"}),
+    }, [serial3[p.key] for p in points])
+    before = _counters()
+    config = RunConfig(scale=SCALE, retries=2, backoff=0.5,
+                       point_timeout=0.625)
+    results = backend.supervise(transport, points, get_scale(SCALE), 42,
+                                config, clock=transport.clock)
+    moved = {k: v - before[k] for k, v in _counters().items()}
+    assert results == [serial3[p.key] for p in points]
+    by_point = {i: [(attempt, t) for j, attempt, t in transport.log if j == i]
+                for i in range(3)}
+    # Charged twice: backoff 0.5 then 1.0 s after each failure was seen
+    # (at 0.125 and 0.75).
+    assert by_point[0] == [(0, 0.0), (1, 0.625), (2, 1.75)]
+    # Lost uncharged: straight back in at the same attempt number.
+    assert by_point[1] == [(0, 0.0), (0, 0.125)]
+    # Queued behind the two slots; hung past the timeout and was killed
+    # (0.875); returned garbage (1.5); then right.  Never a fallback.
+    assert by_point[2] == [(0, 0.125), (1, 1.375), (2, 2.5)]
+    assert transport.killed == [2]
+    assert (moved["retries"], moved["timeouts"], moved["garbage"],
+            moved["fallbacks"]) == (4, 1, 1, 0)

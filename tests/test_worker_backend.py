@@ -1,10 +1,11 @@
-"""Worker-backend fabric: protocol framing, backend selection, recovery.
+"""The ``workers`` transport: protocol framing, selection, stdio-only faults.
 
-The backend contract (see :mod:`repro.core.backend`) is that every
-executor returns summaries bit-identical to the serial run -- including
-the ``workers`` fabric under injected worker kills, heartbeat stalls, and
-corrupt result frames -- and that a sweep interrupted mid-flight resumes
-from the lease ledger re-queuing each in-flight point exactly once.
+The faults both transports share are pinned by the matrix in
+``test_sweep_supervisor.py``.  This file covers what only the
+``repro-sweep-worker`` transport has (see :mod:`repro.core.backend`): the
+CRC-framed wire protocol, the error codec that crosses it, and the
+protocol-level failures -- heartbeat stalls and corrupt result frames --
+under which a sweep must still match the serial run bit for bit.
 """
 
 import os
@@ -13,16 +14,14 @@ import pytest
 
 from repro.core.backend import (
     FrameBuffer,
-    InProcessBackend,
-    PoolBackend,
-    WorkerBackend,
+    PoolTransport,
+    WorkerTransport,
     fabric_stats,
     pack_frame,
     point_from_wire,
     point_to_wire,
-    resolve_backend,
+    select_transport,
 )
-from repro.core.checkpoint import canonical_key
 from repro.core.errors import (
     LeaseExpired,
     PointTimeout,
@@ -179,21 +178,24 @@ def test_malformed_error_frame_decodes_to_protocol_error():
 # -- backend selection -----------------------------------------------------
 
 def test_resolve_backend_selection():
-    assert resolve_backend(RunConfig(backend="workers"), 4).name == "workers"
-    assert resolve_backend(RunConfig(backend="pool"), 4).name == "pool"
-    assert resolve_backend(RunConfig(backend="inproc"), 4).name == "inproc"
-    assert isinstance(resolve_backend(RunConfig(jobs=4), 4), PoolBackend)
-    # auto with one job (or one point) keeps run_sweep's own serial loop.
-    assert resolve_backend(RunConfig(jobs=1), 4) is None
-    assert resolve_backend(RunConfig(jobs=4), 1) is None
+    for n_todo in (4, 1):
+        assert select_transport(RunConfig(backend="workers"),
+                                n_todo) is WorkerTransport
+    for config in (RunConfig(backend="pool", jobs=2), RunConfig(jobs=4)):
+        assert select_transport(config, 4) is PoolTransport
+    assert (WorkerTransport.name, PoolTransport.name) == ("workers", "pool")
+    # inproc -- and auto or pool with one job, or one point -- need no
+    # transport: the points run in run_sweep's own serial loop.
+    assert select_transport(RunConfig(backend="inproc", jobs=4), 4) is None
+    assert select_transport(RunConfig(backend="pool"), 4) is None
+    assert select_transport(RunConfig(jobs=1), 4) is None
+    assert select_transport(RunConfig(jobs=4), 1) is None
+    assert select_transport(RunConfig(backend="workers"), 0) is None
     with pytest.raises(ValueError, match="unknown sweep backend"):
-        resolve_backend(RunConfig(backend="mainframe"), 4)
-    assert isinstance(WorkerBackend(), type(resolve_backend(
-        RunConfig(backend="workers"), 1)))
-    assert InProcessBackend.name == "inproc"
+        select_transport(RunConfig(backend="mainframe"), 4)
 
 
-# -- the fabric end to end -------------------------------------------------
+# -- the transport end to end ----------------------------------------------
 
 @pytest.fixture(scope="module")
 def serial3():
@@ -202,7 +204,7 @@ def serial3():
 
 
 def _workers(points, tmp_path, **overrides):
-    clear_variant_cache()  # force the points through the fabric
+    clear_variant_cache()  # force the points through the workers
     return run_sweep(points, scale=SCALE,
                      config=_workers_config(tmp_path, **overrides))
 
@@ -215,10 +217,9 @@ def test_workers_backend_matches_serial(tmp_path, serial3):
     assert after["spawns"] > before["spawns"]
     assert after["corrupt_frames"] == before["corrupt_frames"]
     # The ledger holds every summary, compacted, no leases left.
-    ledger = LeaseLedger(tmp_path / "ckpt")
-    assert len(ledger) == 3
-    assert not ledger.leases
-    ledger.close()
+    with LeaseLedger(tmp_path / "ckpt") as ledger:
+        assert len(ledger.completed) == 3
+        assert not ledger.leases
 
 
 def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):
@@ -226,7 +227,7 @@ def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):
     # every protocol-level failure mode in one sweep.
     monkeypatch.setenv(ENV_VAR, "crash@0,wcorrupt@1,wstall@2")
     before = fabric_stats()
-    result = _workers(_points(3), tmp_path, lease_ttl=3.0, retries=2)
+    result = _workers(_points(3), tmp_path, lease_ttl=0.5, retries=2)
     after = fabric_stats()
     assert result == serial3
     assert after["deaths"] > before["deaths"]
@@ -237,14 +238,14 @@ def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):
 def test_workers_backend_seeded_chaos_is_bit_identical(
         monkeypatch, tmp_path, serial3):
     monkeypatch.setenv(ENV_VAR, "chaos@42*40")
-    result = _workers(_points(3), tmp_path, lease_ttl=3.0, retries=2)
+    result = _workers(_points(3), tmp_path, lease_ttl=0.5, retries=2)
     assert result == serial3
 
 
 def test_stale_lease_requeued_exactly_once_on_resume(tmp_path, serial3):
-    """Satellite regression: a run interrupted mid-point leaves a claim
-    whose holder is dead; the resume re-queues it exactly once, recomputes
-    it bit-identically, and a further resume re-queues nothing."""
+    """The serial cell of the supervisor matrix's stale-lease case: the
+    resume itself (reclaim, requeue exactly once, a further resume
+    re-queues nothing) happens in ``run_sweep``, transport or no."""
     points = _points(3)
     scale = get_scale(SCALE)
     ckpt = tmp_path / "ckpt"
@@ -277,12 +278,12 @@ def test_stale_lease_requeued_exactly_once_on_resume(tmp_path, serial3):
     assert final["resumed"] - after["resumed"] == 3
     with LeaseLedger(ckpt) as ledger:
         assert not ledger.leases
-        assert all(canonical_key(k) in ledger.entries for k in keys)
+        assert all(ledger.get(k) is not None for k in keys)
 
 
 def test_interrupted_workers_ledger_resumes_in_process(tmp_path, serial3):
     """Cross-backend resume: a ledger left by --backend workers is honoured
-    by a plain (auto-backend) resume in the same checkpoint dir."""
+    by a plain (auto-backend, serial) resume in the same checkpoint dir."""
     points = _points(2)
     scale = get_scale(SCALE)
     ckpt = tmp_path / "ckpt"
@@ -294,6 +295,4 @@ def test_interrupted_workers_ledger_resumes_in_process(tmp_path, serial3):
                        config=RunConfig(scale=SCALE,
                                         checkpoint_dir=str(ckpt)))
     assert result == {p.key: serial3[p.key] for p in points}
-    # The resume went through the ledger file, not a fresh journal.
-    assert os.path.exists(ckpt / "sweep-ledger.rpll")
-    assert not os.path.exists(ckpt / "sweep-checkpoint.rpcj")
+    assert os.listdir(ckpt) == ["sweep-ledger.rpll"]
