@@ -19,7 +19,6 @@ Atoms name the machine state the paper's numbers depend on::
     wb.entries/completion/stall_cycles    write-buffer state
     dir.sharers/dirty    directory state
     machine.pending/port machine-level fill/port bookkeeping
-    mirror.tags          the numpy L1 tag mirror -- kernel-private, exempt
 
 Ops distinguish *how* state moves: container-method names (``append``,
 ``insert``, ``remove``, ``pop``, ``popleft``, ``add``, ``discard``,
@@ -47,10 +46,6 @@ import os
 from repro.analysis.callgraph import DYN_PREFIX, CallGraph, Resolver, \
     iter_functions
 from repro.analysis.model import Finding, dotted_chain
-
-#: Atom prefixes that are kernel-private by design: fast paths own them,
-#: the scalar oracle never sees them, equivalence rules skip them.
-KERNEL_PRIVATE = ("mirror.",)
 
 #: Container methods that mutate their receiver (the op name is the
 #: method name).
@@ -104,12 +99,11 @@ _OBJ_SPEC = {
             "directory": ("obj", "dir"),
             "_l1_sets": ("lst", ("lst", ("st", "l1.sets"))),
             "_l2_sets": ("lst", ("lst", ("st", "l2.sets"))),
-            "_l1_tags": ("st", "mirror.tags"),
             "_pending_fill": ("st", "machine.pending"),
             "_port_free": ("st", "machine.port"),
             "config": None, "home_fn": None,
             "_l1_shift": None, "_l2_shift": None, "_ratio_shift": None,
-            "_l1_mask": None, "_l2_mask": None, "_l1_nsets": None,
+            "_l1_mask": None, "_l2_mask": None,
             "_wb_retire": None, "_prefetch_data": None,
             "lat_l2": None, "lat_local": None, "lat_2hop": None,
             "lat_3hop": None,
@@ -728,7 +722,6 @@ class KernelEquivalenceRule:
         ``repro.memsim.horizon``) transitively writes oracle state.
         Planners run at trace-combination time and are memoized across
         replays; a write would leak one replay's state into the next.
-        Kernel-private atoms (the numpy tag mirror) are exempt.
     KRN002
         A fast-path engine's transitive write set contains an
         ``(atom, op)`` pair the scalar oracle's does not, and the
@@ -748,15 +741,10 @@ class KernelEquivalenceRule:
                  fast_roots=(("batched", "Interleaver._run_traces_batched"),
                              ("horizon", "Interleaver._run_traces_horizon")),
                  planner_modules=("repro.memsim.batch",
-                                  "repro.memsim.horizon"),
-                 private_prefixes=KERNEL_PRIVATE):
+                                  "repro.memsim.horizon")):
         self.scalar_roots = scalar_roots
         self.fast_roots = fast_roots
         self.planner_modules = planner_modules
-        self.private_prefixes = tuple(private_prefixes)
-
-    def _private(self, atom):
-        return atom.startswith(self.private_prefixes)
 
     def check_project(self, fx_list):
         summaries, graph = summarize(fx_list)
@@ -768,7 +756,7 @@ class KernelEquivalenceRule:
             seen = set()
             for (atom, op), sites in sorted(
                     summaries[qual]["writes"].items()):
-                if self._private(atom) or (atom, op) in seen:
+                if (atom, op) in seen:
                     continue
                 seen.add((atom, op))
                 path, line, content, _covered = sites[0]
@@ -793,7 +781,7 @@ class KernelEquivalenceRule:
             for root in graph.roots_matching(suffix):
                 for (atom, op), sites in sorted(
                         summaries[root]["writes"].items()):
-                    if (atom, op) in scalar_pairs or self._private(atom):
+                    if (atom, op) in scalar_pairs:
                         continue
                     for path, line, content, covered in sites:
                         if covered:

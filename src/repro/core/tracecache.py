@@ -110,14 +110,16 @@ class QueryTrace:
                                     list(self.d), list(self.e))
         return cols
 
-    def batch_plan(self, l1_shift, n_sets):
-        """Run-partition metadata for the batched replay kernel, memoized
-        per L1 geometry (see :func:`repro.memsim.batch.trace_plan`); like
+    def batch_plan(self, l1_shift, n_sets=None):
+        """Line-tag columns for the batched replay kernel, memoized per L1
+        line size (see :func:`repro.memsim.batch.trace_plan`); like
         :meth:`columns`, the derived view is paid once per trace, not per
-        replay, and dropped with the trace itself."""
+        replay, and dropped with the trace itself.  ``n_sets`` is ignored
+        (the plan depends on the line size alone); the benchmark harness
+        still passes it."""
         from repro.memsim.batch import trace_plan
 
-        return trace_plan(self, l1_shift, n_sets)
+        return trace_plan(self, l1_shift)
 
     def __len__(self):
         return len(self.kinds)

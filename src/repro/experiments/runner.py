@@ -93,13 +93,14 @@ def _build_parser():
     parser.add_argument("--kernel", default=os.environ.get("REPRO_KERNEL",
                                                            "auto"),
                         choices=["auto", "horizon", "batched", "scalar"],
-                        help="replay dispatch engine: 'horizon' adds the "
-                             "sharing classifier and retires whole "
+                        help="replay dispatch engine: 'batched' retires "
+                             "single-line reads and writes through "
+                             "numpy-planned inlined paths, 'horizon' adds "
+                             "a sharing classifier and retires whole "
                              "non-interacting regions past the window "
-                             "cuts, 'batched' retires non-interacting "
-                             "runs with numpy, 'scalar' is the "
-                             "pure-Python reference loop, 'auto' picks "
-                             "horizon when numpy is importable "
+                             "cuts (opt-in), 'scalar' is the pure-Python "
+                             "reference loop, 'auto' picks batched when "
+                             "numpy is importable "
                              "(default: auto, or REPRO_KERNEL)")
     parser.add_argument("--strict-store", action="store_true",
                         help="raise on damaged trace-store entries instead "
@@ -263,9 +264,8 @@ def _print_timings(config, outcomes):
               f"corrupt_frames={fab['corrupt_frames']} "
               f"degraded={fab['degraded']} requeued={fab['requeued']}")
     ks = kernel_stats()
-    rows = ks["batched_rows"] + ks["inline_rows"] + ks["scalar_rows"]
-    frac = (f" ({ks['inline_rows'] / rows:.1%} inlined, "
-            f"{ks['batched_rows'] / rows:.1%} gathered)") if rows else ""
+    rows = ks["inline_rows"] + ks["scalar_rows"]
+    frac = f" ({ks['inline_rows'] / rows:.1%} inlined)" if rows else ""
     print(f"  replay kern  horizon={ks['horizon_runs']} runs "
           f"{ks['horizon_seconds']:.2f}s  batched={ks['batched_runs']} runs "
           f"{ks['batched_seconds']:.2f}s  scalar={ks['scalar_runs']} runs "

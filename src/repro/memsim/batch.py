@@ -5,51 +5,48 @@ Python-level iteration per trace row.  Most rows of a DSS trace are
 single-line reads and writes whose entire machine interaction is local to
 the issuing node unless a miss or a store reaches the directory -- and
 even then the interaction is a short, fixed shape.  The batched kernel
-exploits that with two tiers, both planned here and both bit-identical to
-scalar dispatch:
+exploits that with one **inline tier**, planned here and bit-identical to
+scalar dispatch: a per-trace preprocessing pass computes, vectorized with
+numpy, the primary-cache line tag of every single-line read/write row and
+stores it as one plain column beside the trace's event columns (-1 marks
+the rows the dispatch loop must handle through its scalar branches:
+line-crossing accesses and lock/sync events).  The dispatch loop then
+retires tagged rows with the machine's read/write hot paths *inlined* --
+no method calls, no re-derivation of the line tag, no per-row attribute
+chases (the hierarchy's containers are bound to locals per dispatch
+window).  The tags stay ordinary machine-word ints on purpose: packing
+more fields per row was measured slower, because Python arithmetic on
+>2**30 values allocates multi-digit ints in the hot loop.
 
-* **The inline tier** (the workhorse).  A per-trace preprocessing pass
-  computes, vectorized with numpy, the primary-cache line tag of every
-  single-line read/write row and stores it as one plain column beside
-  the trace's event columns (-1 marks the rows the dispatch loop must
-  handle through its scalar branches: line-crossing accesses and
-  lock/sync events).  The dispatch loop then retires tagged rows with
-  the machine's read/write hot paths *inlined* -- no method calls, no
-  re-derivation of the line tag, no per-row attribute chases (the
-  hierarchy's containers are bound to locals per dispatch window).  The
-  tags stay ordinary machine-word ints on purpose: packing more fields
-  per row was measured slower, because Python arithmetic on >2**30
-  values allocates multi-digit ints in the hot loop.
-* **The gather tier**.  Runs of single-CPU reads over lines that stay
-  resident (plus busy/hit rows) change no cache, directory, or
-  write-buffer state at all: a whole run prefix can be retired with one
-  numpy gather over the machine's L1 tag mirror and two cumulative-array
-  lookups.  DSS scan traces are too miss-dense for long hit runs (the
-  paper's own observation: scans stream, caches barely help), so this
-  tier engages only when a trace's plan actually carries qualifying runs
-  of :data:`MIN_BATCH` rows or more -- then the mirror is built and
-  maintained; otherwise it costs nothing.
+Every row retires on its own; nothing retires runs of resident-line
+reads in bulk with numpy, because DSS traces have no runs long enough to
+pay for a numpy round trip: scans stream and database data has almost no
+temporal locality (the paper's own observation), and the longest stretch
+of single-line reads and busy/hit rows anywhere in the 17 queries, at any
+L1 line size the sweeps use, is 20 rows at ``small`` (18 at ``tiny``).
 
 Kernel selection (:func:`resolve_kernel`): ``horizon`` / ``batched`` /
 ``scalar`` / ``auto``, from an explicit argument, the process default set
-by :class:`~repro.core.run.RunConfig`, or ``REPRO_KERNEL``.  The horizon
-kernel (:mod:`repro.memsim.horizon`) layers a sharing classifier on top
-of the batch plans and retires runs of non-interacting rows *across*
+by :class:`~repro.core.run.RunConfig`, or ``REPRO_KERNEL``.  ``auto``
+picks ``batched`` whenever numpy is importable: end to end (schedules and
+their memory included) it beats horizon on wall time and peak memory on
+every benchmark workload.  The horizon kernel
+(:mod:`repro.memsim.horizon`) layers a sharing classifier on top of the
+batch plans and retires runs of non-interacting rows *across*
 global-clock window cuts, replaying the cuts from recorded virtual
-clocks; ``auto`` picks it whenever numpy is importable.  When numpy is
+clocks; it wins on replay time alone but not once its schedules are
+charged, so it runs only when asked for by name.  When numpy is
 unavailable both numpy kernels degrade to the scalar path with a single
 warning per process.  Machine gating (:func:`machine_batch_reason`):
 prefetching machines fall back to scalar entirely (a primary-cache hit
 may have to wait on a pending prefetch fill, which needs the scalar
-pending-fill probe); a set-associative L1 only disables the gather tier
-(LRU reordering makes hits stateful), not the inline tier.
+pending-fill probe); any L1 associativity is served.
 
 Every dispatch boundary of the scalar engine is preserved: rows retire
-one at a time in the same global-clock order (the gather tier cuts its
-prefix at the first L1 miss and at the window's clock limit, exactly
-where scalar dispatch would stop), so cycles, machine counters, and
-per-CPU accounting are bit-identical -- asserted by ``tests/test_batch.py``
-and by the trace-cache suite under ``REPRO_KERNEL=batched``.
+one at a time in the same global-clock order, so cycles, machine
+counters, and per-CPU accounting are bit-identical -- asserted by
+``tests/test_batch.py`` and by the trace-cache suite under
+``REPRO_KERNEL=batched``.
 """
 
 import os
@@ -66,23 +63,10 @@ HAVE_NUMPY = _np is not None
 #: Recognized kernel names (``auto`` resolves to one of the other three).
 KERNELS = ("auto", "horizon", "batched", "scalar")
 
-#: Line-tag sentinel stored in the mirror's extra slot and in the plan's
-#: ``lines`` entries for busy/hit rows: the gather-and-compare hit check
-#: then reports those rows as hits with no extra mask.  Distinct from the
-#: empty-set tag (-1) so an empty set never "hits" a busy row.
-NONMEM_LINE = -2
-
-#: Minimum row count for a run to qualify for the gather tier, and
-#: minimum remaining rows for re-entering one after a miss or a
-#: clock-limit cut.  Below these, row-at-a-time dispatch is cheaper than
-#: a numpy round trip.
-MIN_BATCH = 24
-MIN_RESUME = 8
-
-#: Plans kept per trace: one per distinct L1 geometry, evicted FIFO.  A
-#: sweep replays each trace under several geometries but visits them
-#: point by point, so a tiny memo bounds the packed columns' memory
-#: without re-partitioning inside a point.
+#: Plans kept per trace: one per distinct L1 line size, evicted FIFO.  A
+#: sweep replays each trace under several line sizes but visits them
+#: point by point, so a tiny memo bounds the tag columns' memory
+#: without re-tagging inside a point.
 PLAN_MEMO = 2
 
 #: Process-default kernel, set by :func:`repro.core.run.configure_run`.
@@ -116,7 +100,7 @@ def resolve_kernel(kernel=None):
     Precedence: the explicit ``kernel`` argument, then the process default
     (:func:`set_default_kernel`, i.e. ``RunConfig.kernel``), then the
     ``REPRO_KERNEL`` environment variable; a still-unresolved ``auto``
-    picks ``horizon`` whenever numpy is importable.  A ``horizon`` or
+    picks ``batched`` whenever numpy is importable.  A ``horizon`` or
     ``batched`` request without numpy warns once per process and degrades
     to ``scalar``.
     """
@@ -126,7 +110,7 @@ def resolve_kernel(kernel=None):
     if kernel == "auto":
         kernel = _check_kernel(os.environ.get("REPRO_KERNEL") or "auto")
     if kernel == "auto":
-        kernel = "horizon" if HAVE_NUMPY else "scalar"
+        kernel = "batched" if HAVE_NUMPY else "scalar"
     _check_kernel(kernel)
     if kernel in ("batched", "horizon") and not HAVE_NUMPY:
         if not _WARNED_NO_NUMPY:
@@ -147,14 +131,11 @@ def machine_batch_reason(machine):
     built with numpy), ``prefetch`` (a primary-cache hit may still wait
     on a pending prefetch fill, which needs the scalar pending-fill
     probe on every hit).  A set-associative L1 is *not* a fallback
-    reason: it only disables the gather tier (whose mirror requires
-    stateless, direct-mapped hits; see
-    :meth:`~repro.memsim.numa.NumaMachine._ensure_l1_mirror`), while the
-    inline tier handles any associativity.  The horizon kernel shares
-    these gates and adds one of its own in the dispatcher: a machine
-    with residual directory state (``warm_machine``) falls back to
-    batched, because the sharing classifier only covers lines the
-    *current* trace set touches.
+    reason: the inline tier handles any associativity.  The horizon
+    kernel shares these gates and adds one of its own in the dispatcher:
+    a machine with residual directory state (``warm_machine``) falls
+    back to batched, because the sharing classifier only covers lines
+    the *current* trace set touches.
     """
     if not HAVE_NUMPY:
         return "no_numpy"
@@ -163,66 +144,28 @@ def machine_batch_reason(machine):
     return None
 
 
-# -- L1 tag mirror ---------------------------------------------------------------
-
-
-def make_l1_mirror(n_nodes, n_sets):
-    """Per-node tag arrays mirroring a direct-mapped L1's contents.
-
-    ``tags[s]`` is the line tag resident in set ``s`` (``-1`` when empty).
-    Slot ``n_sets`` permanently holds :data:`NONMEM_LINE`, the always-hit
-    sentinel that busy/hit plan rows index.  Returns ``None`` without
-    numpy.
-    """
-    if not HAVE_NUMPY:
-        return None
-    mirror = []
-    for _ in range(n_nodes):
-        tags = _np.full(n_sets + 1, -1, dtype=_np.int64)
-        tags[n_sets] = NONMEM_LINE
-        mirror.append(tags)
-    return mirror
-
-
 # -- trace preprocessing ---------------------------------------------------------
 
 
 class BatchPlan:
-    """Precomputed batching metadata for one trace under one L1 geometry.
+    """Precomputed inline-tier columns for one trace under one L1 line size.
 
-    ``mem_lines`` is the inline tier's per-row column: one plain-list
-    integer per trace row holding the primary-cache line tag of a
-    single-line read/write, or -1 for rows the dispatch loop must handle
-    through its scalar branches.  ``mcost``/``mreads`` ride along from
-    :func:`trace_base` (shift-independent, shared by every geometry's
+    ``mem_lines`` is the per-row tag column: one plain-list integer per
+    trace row holding the primary-cache line tag of a single-line
+    read/write, or -1 for rows the dispatch loop must handle through its
+    scalar branches.  ``mcost``/``mreads`` ride along from
+    :func:`trace_base` (shift-independent, shared by every line size's
     plan): the retire cost and ``l1_reads`` contribution of each
     read/write row, precomputed so the inline paths never re-derive them
-    from size/inert/fused-hit columns.  ``run_starts``/``run_ends``
-    are the gather tier's qualifying runs (length >= :data:`MIN_BATCH`)
-    of batchable rows, as plain lists walked with a single forward
-    cursor; ``sets``/``lines`` feed the mirror gather (busy/hit rows
-    point at the sentinel slot and carry :data:`NONMEM_LINE`, so they
-    auto-hit), and ``ccost``/``cl1r`` are whole-trace cumulative sums of
-    per-row retire cost and ``l1_reads`` contribution, so any run prefix
-    reduces to two array lookups.
+    from size/inert/fused-hit columns.
     """
 
-    __slots__ = ("mem_lines", "mcost", "mreads", "sets", "lines",
-                 "run_starts", "run_ends", "ccost", "cl1r",
-                 "batchable_rows", "n_rows")
+    __slots__ = ("mem_lines", "mcost", "mreads", "n_rows")
 
-    def __init__(self, mem_lines, mcost, mreads, sets, lines, run_starts,
-                 run_ends, ccost, cl1r, batchable_rows, n_rows):
+    def __init__(self, mem_lines, mcost, mreads, n_rows):
         self.mem_lines = mem_lines
         self.mcost = mcost
         self.mreads = mreads
-        self.sets = sets
-        self.lines = lines
-        self.run_starts = run_starts
-        self.run_ends = run_ends
-        self.ccost = ccost
-        self.cl1r = cl1r
-        self.batchable_rows = batchable_rows
         self.n_rows = n_rows
 
 
@@ -234,34 +177,21 @@ def _np_column(arr, dtype):
 
 
 def trace_base(trace):
-    """The shift-independent batching arrays for ``trace``, memoized on it.
+    """The shift-independent plan arrays for ``trace``, memoized on it.
 
-    Returns ``(memread, memrw, nonmem, addr, xorspan, ccost, cl1r,
-    mcost, mreads)``:
+    Returns ``(memrw, addr, xorspan, mcost, mreads)``:
 
-    * ``memread`` / ``memrw`` -- bool masks of EV_READ rows and of
-      EV_READ-or-EV_WRITE rows;
-    * ``nonmem`` -- bool mask of EV_BUSY / EV_HIT rows (batchable without
-      touching memory);
-    * ``addr`` -- the ``a`` column as int64 (byte address for memory
-      rows, cycle or reference count for busy/hit rows);
+    * ``memrw`` -- bool mask of EV_READ-or-EV_WRITE rows;
+    * ``addr`` -- the ``a`` column as int64 (byte address on memory rows);
     * ``xorspan`` -- ``addr ^ (addr + size - 1)``: an access stays within
       one line under line shift ``s`` iff ``xorspan >> s == 0`` (only
       meaningful on memory rows);
-    * ``ccost`` -- cumulative retire cost per row, assuming the row hits:
-      ``1 + inert`` for reads (the fused trailing busy/hit run rides
-      along), the cycle count for busy/hit rows, 0 for rows the gather
-      tier never touches;
-    * ``cl1r`` -- cumulative ``l1_reads`` contribution per row: the word
-      count plus fused-hit count for reads, the reference count for
-      EV_HIT rows;
-    * ``mcost`` / ``mreads`` -- plain-list per-row columns for the inline
-      tier, shared by every geometry's plan: the retire cost (1 cycle
-      plus fused busy cycles) and the ``l1_reads`` contribution (word
-      count plus fused-hit count for reads, fused-hit count alone for
-      writes) of each read/write row.  Kept as ordinary small ints so
-      the dispatch loop's adds never touch numpy scalars or multi-digit
-      Python ints.
+    * ``mcost`` / ``mreads`` -- plain-list per-row columns shared by every
+      line size's plan: the retire cost (1 cycle plus fused busy cycles)
+      and the ``l1_reads`` contribution (word count plus fused-hit count
+      for reads, fused-hit count alone for writes) of each read/write
+      row.  Kept as ordinary small ints so the dispatch loop's adds never
+      touch numpy scalars or multi-digit Python ints.
 
     The word count follows the scalar hot paths exactly: one reference
     per 4-byte word, minimum one (``1 if size <= 4 else (size+3) >> 2``).
@@ -276,65 +206,37 @@ def trace_base(trace):
     hits = _np_column(trace.e, _np.dtype("l"))
     memread = kinds == 0
     memrw = memread | (kinds == 1)
-    nonmem = (kinds == 2) | (kinds == 5)
     words = _np.maximum((size + 3) >> 2, 1)
-    cost = _np.where(memread, 1 + inert, 0)
-    cost = _np.where(nonmem, addr, cost)
-    l1r = _np.where(memread, words + hits, 0)
-    l1r = _np.where(kinds == 5, addr, l1r)
-    ccost = _np.cumsum(cost, dtype=_np.int64)
-    cl1r = _np.cumsum(l1r, dtype=_np.int64)
     xorspan = addr ^ (addr + size - 1)
     mcost = _np.where(memrw, 1 + inert, 0).tolist()
     mreads = (hits + _np.where(memread, words, 0)).tolist()
-    base = (memread, memrw, nonmem, addr, xorspan, ccost, cl1r,
-            mcost, mreads)
+    base = (memrw, addr, xorspan, mcost, mreads)
     trace._batch_base = base
     return base
 
 
-def trace_plan(trace, l1_shift, n_sets):
-    """The :class:`BatchPlan` for ``trace`` under one L1 geometry, memoized.
+def trace_plan(trace, l1_shift):
+    """The :class:`BatchPlan` for ``trace`` under one L1 line size, memoized.
 
     ``None`` without numpy.  The ``mem_lines`` column tags every
     single-line (under ``l1_shift``) EV_READ/EV_WRITE row with its
     primary-cache line; everything else -- line-crossing accesses, lock
     events, busy/hit rows -- carries -1 and dispatches through the
-    engine's scalar branches.  The gather tier's runs are maximal
-    stretches of single-line reads plus busy/hit rows (every write, lock
-    event, and line-crossing read is a boundary: writes move the write
-    buffer and the directory, locks observe other processors' clocks,
-    line-crossing reads probe multiple sets), kept only at
-    :data:`MIN_BATCH` rows or more.
+    engine's scalar branches.
     """
     if not HAVE_NUMPY:
         return None
-    key = (l1_shift, n_sets)
     plans = trace._batch_plans
-    plan = plans.get(key)
+    plan = plans.get(l1_shift)
     if plan is not None:
         return plan
-    (memread, memrw, nonmem, addr, xorspan, ccost, cl1r,
-     mcost, mreads) = trace_base(trace)
-    span0 = (xorspan >> l1_shift) == 0
-    line = addr >> l1_shift
-    mem_lines = _np.where(memrw & span0, line, _np.int64(-1)).tolist()
-    single = memread & span0
-    batchable = single | nonmem
-    n = len(batchable)
-    flags = batchable.view(_np.int8)
-    edges = _np.diff(flags, prepend=_np.int8(0), append=_np.int8(0))
-    starts = _np.flatnonzero(edges == 1)
-    stops = _np.flatnonzero(edges == -1)
-    keep = (stops - starts) >= MIN_BATCH
-    lines = _np.where(single, line, NONMEM_LINE)
-    sets = _np.where(single, line & (n_sets - 1), n_sets)
-    plan = BatchPlan(mem_lines, mcost, mreads, sets, lines,
-                     starts[keep].tolist(), stops[keep].tolist(), ccost,
-                     cl1r, int(batchable.sum()), n)
+    memrw, addr, xorspan, mcost, mreads = trace_base(trace)
+    single = memrw & ((xorspan >> l1_shift) == 0)
+    mem_lines = _np.where(single, addr >> l1_shift, _np.int64(-1)).tolist()
+    plan = BatchPlan(mem_lines, mcost, mreads, len(mem_lines))
     if len(plans) >= PLAN_MEMO:
         plans.pop(next(iter(plans)))
-    plans[key] = plan
+    plans[l1_shift] = plan
     return plan
 
 
@@ -344,11 +246,9 @@ def trace_plan(trace, l1_shift, n_sets):
 def kernel_stats():
     """Registry view of replay-kernel activity, for ``--time`` and tests.
 
-    ``*_runs``/``*_seconds`` per kernel; ``batched_rows`` (rows retired
-    by the gather tier), ``batched_dispatches`` (gather retire
-    operations), ``inline_rows`` (rows retired by the inlined
-    single-line read/write paths), ``scalar_rows`` (rows the batched
-    engine dispatched through its scalar branches -- line-crossing
+    ``*_runs``/``*_seconds`` per kernel; ``inline_rows`` (rows retired by
+    the inlined single-line read/write paths), ``scalar_rows`` (rows the
+    batched engine dispatched through its scalar branches -- line-crossing
     accesses, busy/hit rows, lock events; contended-acquire retries are
     not rows and are not counted); ``fallbacks`` by reason (runs that
     asked for a numpy kernel but ran a lower tier).
@@ -372,8 +272,8 @@ def kernel_stats():
         "batched_seconds": reg.value("interleave.kernel.batched.seconds"),
         "scalar_runs": reg.value("interleave.kernel.scalar.runs"),
         "scalar_seconds": reg.value("interleave.kernel.scalar.seconds"),
+        # Never incremented (0): simbench/harness/staged.py sums this key.
         "batched_rows": reg.value("interleave.batch.rows"),
-        "batched_dispatches": reg.value("interleave.batch.dispatches"),
         "inline_rows": reg.value("interleave.batch.inline_rows"),
         "scalar_rows": reg.value("interleave.batch.scalar_rows"),
         "horizon_rows": reg.value("interleave.horizon.rows"),

@@ -18,7 +18,6 @@ from bisect import bisect_left
 from time import perf_counter
 
 from repro.memsim.batch import (
-    MIN_RESUME as _MIN_RESUME,
     machine_batch_reason as _batch_reason,
     resolve_kernel as _resolve_kernel,
 )
@@ -300,14 +299,14 @@ class Interleaver:
         cursor, mirroring the ``pending``-slot redispatch of :meth:`run`.
 
         ``kernel`` picks the dispatch engine: ``"scalar"`` (the pure-Python
-        reference loop), ``"batched"`` (plan-driven inlined dispatch plus
-        vectorized retirement of non-interacting runs; see
-        :mod:`repro.memsim.batch`), ``"horizon"`` (the batched tiers plus
-        the sharing-aware scheduler of :mod:`repro.memsim.horizon`, which
-        retires classified-private regions *across* global-clock window
-        cuts and replays the cuts from virtual clocks), or
-        ``None``/``"auto"`` to follow ``RunConfig.kernel`` /
-        ``REPRO_KERNEL`` and default to horizon when numpy is available.
+        reference loop), ``"batched"`` (plan-driven inlined dispatch; see
+        :mod:`repro.memsim.batch`), ``"horizon"`` (the batched engine's
+        inlined dispatch plus the sharing-aware scheduler of
+        :mod:`repro.memsim.horizon`, which retires classified-private
+        regions *across* global-clock window cuts and replays the cuts
+        from virtual clocks; opt-in only), or ``None``/``"auto"`` to
+        follow ``RunConfig.kernel`` / ``REPRO_KERNEL`` and default to
+        batched when numpy is available.
         A request the machine cannot serve falls back down the tier chain
         -- horizon needs a pristine machine (its classifier only covers
         lines the current trace set touches) and degrades to batched on a
@@ -567,26 +566,17 @@ class Interleaver:
 
         Identical window selection, per-event costs, and accounting to
         :meth:`_run_traces_scalar`, restructured around the per-trace
-        :class:`~repro.memsim.batch.BatchPlan` in two tiers:
-
-        * Rows the plan tagged (single-line reads and writes; the vast
-          majority of a DSS trace) retire through copies of the machine's
-          read/write hot paths inlined into the dispatch loop.  The
-          plan's ``mem_lines`` column hands the loop the precomputed
-          primary-line tag, so the per-row method call, address
-          decomposition, and attribute chases of scalar dispatch all
-          disappear; counter updates accumulate in locals and flush at
-          window boundaries.  Every machine-state transition -- cache
-          fills, LRU moves, directory transactions, write-buffer issue --
-          happens one row at a time in the same global order at the same
-          cycle as under scalar dispatch.
-        * Qualifying *runs* (single-CPU reads over resident lines plus
-          busy/hit rows, >= ``MIN_BATCH`` long) retire in bulk: one
-          gather of the machine's L1 tag mirror answers every hit check
-          at once, cut at the first miss and at the window's clock limit
-          -- exactly where scalar dispatch would stop.  The mirror is
-          built only when some plan actually carries runs, so miss-dense
-          traces never pay for its maintenance.
+        :class:`~repro.memsim.batch.BatchPlan`.  Rows the plan tagged
+        (single-line reads and writes; the vast majority of a DSS trace)
+        retire through copies of the machine's read/write hot paths
+        inlined into the dispatch loop.  The plan's ``mem_lines`` column
+        hands the loop the precomputed primary-line tag, so the per-row
+        method call, address decomposition, and attribute chases of
+        scalar dispatch all disappear; counter updates accumulate in
+        locals and flush at window boundaries.  Every machine-state
+        transition -- cache fills, LRU moves, directory transactions,
+        write-buffer issue -- happens one row at a time in the same
+        global order at the same cycle as under scalar dispatch.
 
         Rows the plan marked slow (line-crossing accesses, lock events,
         busy/hit rows) dispatch through branches copied verbatim from
@@ -600,16 +590,10 @@ class Interleaver:
                 f"{len(traces)} traces but only {machine.config.n_nodes} nodes"
             )
         l1_shift = machine._l1_shift
-        plans = [t.batch_plan(l1_shift, machine._l1_nsets) for t in traces]
+        plans = [t.batch_plan(l1_shift) for t in traces]
         if any(p is None for p in plans):
             _registry().counter("interleave.kernel.fallback.no_numpy").inc()
             return self._run_traces_scalar(traces, sink, reset_stats)
-        # The gather tier engages only when a plan actually carries
-        # qualifying runs *and* the L1 can be mirrored (direct-mapped);
-        # otherwise neither the mirror nor the run walk costs anything.
-        gather = any(p.run_starts for p in plans)
-        if gather:
-            gather = machine._ensure_l1_mirror() is not None
         if reset_stats:
             machine.reset_stats()
         t0 = perf_counter()
@@ -621,17 +605,6 @@ class Interleaver:
         ends = [len(t) for t in traces]
         total_rows = sum(ends)
         INF = 1 << 62
-        if gather:
-            run_starts = [p.run_starts[0] if p.run_starts else INF
-                          for p in plans]
-            run_ends = [p.run_ends[0] if p.run_ends else INF for p in plans]
-        else:
-            run_starts = [INF] * n
-            run_ends = [INF] * n
-        run_idx = [0] * n
-        min_resume = _MIN_RESUME
-        batched_rows = 0
-        batched_disp = 0
         scalar_rows = 0
         alive = list(range(n))
         lock_holder = {}
@@ -661,7 +634,6 @@ class Interleaver:
         sharers = machine.directory._sharers
         port_free = machine._port_free
         home_fn = machine.home_fn
-        mtags = machine._l1_tags
         inval_others = machine._invalidate_others
         evict_l2 = machine._evict_l2
         l1_mask = machine._l1_mask
@@ -684,19 +656,13 @@ class Interleaver:
             p = plans[i]
             cols = t.columns()
             wb_i = machine.wb[i]
-            if gather:
-                g = (p.sets, p.lines, p.ccost, p.cl1r, p.run_starts,
-                     p.run_ends, len(p.run_starts))
-            else:
-                g = (None, None, None, None, None, None, 0)
             ctxs.append((
                 cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
                 p.mem_lines, p.mcost, p.mreads, t.lock_ids,
                 l1_sets[i], l2_sets[i], seen1_col[i], inv1_col[i],
                 seen2_col[i], inv2_col[i], wb_i, wb_i.entries,
                 wb_i.entries.popleft, wb_i.entries.append,
-                mtags[i] if mtags is not None else None,
-                ends[i], cpu_stats[i], cpu_stats[i].mem_by_class) + g)
+                ends[i], cpu_stats[i], cpu_stats[i].mem_by_class))
 
         # repro: hot -- the batched replay dispatch loop; see rules_hot.py.
         while alive:
@@ -727,11 +693,7 @@ class Interleaver:
 
             (tk, ta, tb, tc, td, te, pl, pmc, pmr, lock_ids,
              cpu_l1, cpu_l2, seen1, inv1, seen2, inv2, wb, wb_entries,
-             wb_pop, wb_app, tags1, end, stats, mem_by_class,
-             psets, plines, pccost, pcl1r, prs, pre, n_runs) = ctxs[cpu]
-            ri = run_idx[cpu]
-            nxt_start = run_starts[cpu]
-            nxt_end = run_ends[cpu]
+             wb_pop, wb_app, end, stats, mem_by_class) = ctxs[cpu]
             pos = cursors[cpu]
             now = clocks[cpu]
             start_pos = pos
@@ -751,54 +713,6 @@ class Interleaver:
                     if _sanitize:
                         machine.check_invariants()
                     break
-
-                if pos >= nxt_start:
-                    if nxt_end - pos >= min_resume:
-                        # Gather tier: one mirror gather answers every hit
-                        # check of the run remainder, then the prefix is
-                        # cut at the first miss and at the clock limit --
-                        # exactly where scalar dispatch would leave the
-                        # fused-hit fast path or the window.
-                        hitv = tags1[psets[pos:nxt_end]] == plines[pos:nxt_end]
-                        nhit = int(hitv.argmin())
-                        if hitv[nhit]:
-                            nhit = nxt_end - pos
-                        if nhit:
-                            if pos:
-                                prev_c = int(pccost[pos - 1])
-                                prev_r = int(pcl1r[pos - 1])
-                            else:
-                                prev_c = prev_r = 0
-                            if limit != INF:
-                                ncut = int(pccost[pos:nxt_end].searchsorted(
-                                    limit - now + prev_c)) + 1
-                                if ncut < nhit:
-                                    nhit = ncut
-                            last = pos + nhit - 1
-                            delta = int(pccost[last]) - prev_c
-                            busy_acc += delta
-                            now += delta
-                            l1_acc += int(pcl1r[last]) - prev_r
-                            pos = last + 1
-                            batched_rows += nhit
-                            batched_disp += 1
-                            if now >= limit:
-                                clocks[cpu] = now
-                                cursors[cpu] = pos
-                                run_idx[cpu] = ri
-                                run_starts[cpu] = nxt_start
-                                run_ends[cpu] = nxt_end
-                                break
-                            continue
-                        # First row of the remainder misses: dispatch it
-                        # through the inline tier below, then re-enter.
-                    elif pos >= nxt_end:
-                        ri += 1
-                        if ri < n_runs:
-                            nxt_start = prs[ri]
-                            nxt_end = pre[ri]
-                        else:
-                            nxt_start = nxt_end = INF
 
                 kind = tk[pos]
 
@@ -870,8 +784,6 @@ class Interleaver:
                             inv1.discard(line1)
                             if len(ways) > l1_assoc:
                                 ways.pop()
-                            if tags1 is not None:
-                                tags1[line1 & l1_mask] = line1
                             mem_by_class[cls] += stall
                             cost = pmc[pos]
                             busy_acc += cost
@@ -952,8 +864,6 @@ class Interleaver:
                                 inv1.discard(first)
                                 if len(ways) > l1_assoc:
                                     ways.pop()
-                                if tags1 is not None:
-                                    tags1[first & l1_mask] = first
                                 stall += lat
                             if first >= last:
                                 break
@@ -1179,9 +1089,6 @@ class Interleaver:
                 if now >= limit:
                     clocks[cpu] = now
                     cursors[cpu] = pos
-                    run_idx[cpu] = ri
-                    run_starts[cpu] = nxt_start
-                    run_ends[cpu] = nxt_end
                     break
 
             stats.events += (pos - start_pos) + retry_acc
@@ -1200,10 +1107,8 @@ class Interleaver:
         reg = _registry()
         reg.counter("interleave.kernel.batched.runs").inc()
         reg.counter("interleave.kernel.batched.seconds").inc(elapsed)
-        reg.counter("interleave.batch.rows").inc(batched_rows)
-        reg.counter("interleave.batch.dispatches").inc(batched_disp)
         reg.counter("interleave.batch.inline_rows").inc(
-            total_rows - batched_rows - scalar_rows)
+            total_rows - scalar_rows)
         reg.counter("interleave.batch.scalar_rows").inc(scalar_rows)
         if _obs_enabled():
             _note_run("run_traces", cpu_stats, elapsed)
@@ -1212,10 +1117,10 @@ class Interleaver:
     def _run_traces_horizon(self, traces, sink, reset_stats):
         """The horizon ``run_traces`` engine: sharing-aware retire-ahead.
 
-        Everything the batched engine does (plan-driven inlined dispatch,
-        vectorized gather runs), plus the :mod:`repro.memsim.horizon`
-        schedule: rows whose spans touch no write-shared L2 line cannot
-        interact with another processor, so whenever the next interaction
+        Everything the batched engine does (plan-driven inlined
+        dispatch), plus the :mod:`repro.memsim.horizon` schedule: rows
+        whose spans touch no write-shared L2 line cannot interact with
+        another processor, so whenever the next interaction
         horizon (boundary row) is at least ``HORIZON_MIN`` rows away, the
         engine retires the whole region in one pass -- ignoring the
         global-clock window limit -- and records each row's completion
@@ -1252,15 +1157,12 @@ class Interleaver:
                 f"{len(traces)} traces but only {machine.config.n_nodes} nodes"
             )
         l1_shift = machine._l1_shift
-        plans = [t.batch_plan(l1_shift, machine._l1_nsets) for t in traces]
+        plans = [t.batch_plan(l1_shift) for t in traces]
         sched = _horizon_schedule(traces, machine._l2_shift)
         if sched is None or any(p is None for p in plans):
             _registry().counter("interleave.kernel.fallback.no_numpy").inc()
             return self._run_traces_scalar(traces, sink, reset_stats)
         ws_set = sched.ws
-        gather = any(p.run_starts for p in plans)
-        if gather:
-            gather = machine._ensure_l1_mirror() is not None
         if reset_stats:
             machine.reset_stats()
         t0 = perf_counter()
@@ -1272,15 +1174,6 @@ class Interleaver:
         ends = [len(t) for t in traces]
         total_rows = sum(ends)
         INF = 1 << 62
-        if gather:
-            run_starts = [p.run_starts[0] if p.run_starts else INF
-                          for p in plans]
-            run_ends = [p.run_ends[0] if p.run_ends else INF for p in plans]
-        else:
-            run_starts = [INF] * n
-            run_ends = [INF] * n
-        run_idx = [0] * n
-        min_resume = _MIN_RESUME
         hz_min = _HORIZON_MIN
         # Virtual clocks: vts[cpu] is the completion-time list of rows
         # retired past the current window cut (None when the processor
@@ -1293,8 +1186,6 @@ class Interleaver:
         hz_guard = 0
         hz_vwin = 0
         hz_ff = 0
-        batched_rows = 0
-        batched_disp = 0
         scalar_rows = 0
         alive = list(range(n))
         lock_holder = {}
@@ -1323,7 +1214,6 @@ class Interleaver:
         sharers = machine.directory._sharers
         port_free = machine._port_free
         home_fn = machine.home_fn
-        mtags = machine._l1_tags
         inval_others = machine._invalidate_others
         evict_l2 = machine._evict_l2
         l1_mask = machine._l1_mask
@@ -1344,20 +1234,14 @@ class Interleaver:
             p = plans[i]
             cols = t.columns()
             wb_i = machine.wb[i]
-            if gather:
-                g = (p.sets, p.lines, p.ccost, p.cl1r, p.run_starts,
-                     p.run_ends, len(p.run_starts))
-            else:
-                g = (None, None, None, None, None, None, 0)
             ctxs.append((
                 cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
                 p.mem_lines, p.mcost, p.mreads, t.lock_ids,
                 l1_sets[i], l2_sets[i], seen1_col[i], inv1_col[i],
                 seen2_col[i], inv2_col[i], wb_i, wb_i.entries,
                 wb_i.entries.popleft, wb_i.entries.append,
-                mtags[i] if mtags is not None else None,
-                ends[i], cpu_stats[i], cpu_stats[i].mem_by_class)
-                + g + (sched.plans[i].stops,))
+                ends[i], cpu_stats[i], cpu_stats[i].mem_by_class,
+                sched.plans[i].stops))
 
         # repro: hot -- the horizon replay dispatch loop; see rules_hot.py.
         while alive:
@@ -1449,12 +1333,8 @@ class Interleaver:
 
             (tk, ta, tb, tc, td, te, pl, pmc, pmr, lock_ids,
              cpu_l1, cpu_l2, seen1, inv1, seen2, inv2, wb, wb_entries,
-             wb_pop, wb_app, tags1, end, stats, mem_by_class,
-             psets, plines, pccost, pcl1r, prs, pre, n_runs,
+             wb_pop, wb_app, end, stats, mem_by_class,
              hstops) = ctxs[cpu]
-            ri = run_idx[cpu]
-            nxt_start = run_starts[cpu]
-            nxt_end = run_ends[cpu]
             pos = cursors[cpu]
             now = clocks[cpu] if vt is None else vt[-1]
             start_pos = pos
@@ -1486,46 +1366,6 @@ class Interleaver:
                     vt_append = vt.append
                     rstart = pos
                     while pos < hstop:
-                        if pos >= nxt_start:
-                            if nxt_end - pos >= min_resume:
-                                # Gather sub-tier: as in the batched
-                                # engine, but cut at the horizon instead
-                                # of the clock limit, and with the
-                                # per-row completions kept (cumulative
-                                # cost rebased to this pass's clock).
-                                hi = nxt_end if nxt_end < hstop else hstop
-                                hitv = tags1[psets[pos:hi]] == \
-                                    plines[pos:hi]
-                                nhit = int(hitv.argmin())
-                                if hitv[nhit]:
-                                    nhit = hi - pos
-                                if nhit:
-                                    if pos:
-                                        prev_c = int(pccost[pos - 1])
-                                        prev_r = int(pcl1r[pos - 1])
-                                    else:
-                                        prev_c = prev_r = 0
-                                    last = pos + nhit - 1
-                                    vt += (pccost[pos:last + 1]
-                                           + (now - prev_c)).tolist()
-                                    delta = int(pccost[last]) - prev_c
-                                    busy_acc += delta
-                                    now += delta
-                                    l1_acc += int(pcl1r[last]) - prev_r
-                                    pos = last + 1
-                                    batched_rows += nhit
-                                    batched_disp += 1
-                                    continue
-                                # First row of the remainder misses:
-                                # dispatch it inline below, then re-enter.
-                            elif pos >= nxt_end:
-                                ri += 1
-                                if ri < n_runs:
-                                    nxt_start = prs[ri]
-                                    nxt_end = pre[ri]
-                                else:
-                                    nxt_start = nxt_end = INF
-
                         kind = tk[pos]
                         if kind == 0:  # EV_READ (+ fused busy/hit run)
                             line1 = pl[pos]
@@ -1625,8 +1465,6 @@ class Interleaver:
                                     inv1.discard(line1)
                                     if len(ways) > l1_assoc:
                                         ways.pop()
-                                    if tags1 is not None:
-                                        tags1[line1 & l1_mask] = line1
                                     mem_by_class[cls] += stall
                                     cost = pmc[pos]
                                     busy_acc += cost
@@ -1747,8 +1585,6 @@ class Interleaver:
                                         inv1.discard(first)
                                         if len(ways) > l1_assoc:
                                             ways.pop()
-                                        if tags1 is not None:
-                                            tags1[first & l1_mask] = first
                                         stall += lat
                                     if first >= last:
                                         break
@@ -1983,54 +1819,10 @@ class Interleaver:
                         n_virtual += 1
                         vjs[cpu] = j + 1
                         cursors[cpu] = pos
-                        run_idx[cpu] = ri
-                        run_starts[cpu] = nxt_start
-                        run_ends[cpu] = nxt_end
                         break
                     # The whole region fit inside the window: keep
                     # dispatching for real from its end.
                     continue
-
-                if pos >= nxt_start:
-                    if nxt_end - pos >= min_resume:
-                        hitv = tags1[psets[pos:nxt_end]] == plines[pos:nxt_end]
-                        nhit = int(hitv.argmin())
-                        if hitv[nhit]:
-                            nhit = nxt_end - pos
-                        if nhit:
-                            if pos:
-                                prev_c = int(pccost[pos - 1])
-                                prev_r = int(pcl1r[pos - 1])
-                            else:
-                                prev_c = prev_r = 0
-                            if limit != INF:
-                                ncut = int(pccost[pos:nxt_end].searchsorted(
-                                    limit - now + prev_c)) + 1
-                                if ncut < nhit:
-                                    nhit = ncut
-                            last = pos + nhit - 1
-                            delta = int(pccost[last]) - prev_c
-                            busy_acc += delta
-                            now += delta
-                            l1_acc += int(pcl1r[last]) - prev_r
-                            pos = last + 1
-                            batched_rows += nhit
-                            batched_disp += 1
-                            if now >= limit:
-                                clocks[cpu] = now
-                                cursors[cpu] = pos
-                                run_idx[cpu] = ri
-                                run_starts[cpu] = nxt_start
-                                run_ends[cpu] = nxt_end
-                                break
-                            continue
-                    elif pos >= nxt_end:
-                        ri += 1
-                        if ri < n_runs:
-                            nxt_start = prs[ri]
-                            nxt_end = pre[ri]
-                        else:
-                            nxt_start = nxt_end = INF
 
                 kind = tk[pos]
 
@@ -2095,8 +1887,6 @@ class Interleaver:
                             inv1.discard(line1)
                             if len(ways) > l1_assoc:
                                 ways.pop()
-                            if tags1 is not None:
-                                tags1[line1 & l1_mask] = line1
                             mem_by_class[cls] += stall
                             cost = pmc[pos]
                             busy_acc += cost
@@ -2252,9 +2042,6 @@ class Interleaver:
                 if now >= limit:
                     clocks[cpu] = now
                     cursors[cpu] = pos
-                    run_idx[cpu] = ri
-                    run_starts[cpu] = nxt_start
-                    run_ends[cpu] = nxt_end
                     break
 
             stats.events += (pos - start_pos) + retry_acc
@@ -2273,10 +2060,8 @@ class Interleaver:
         reg = _registry()
         reg.counter("interleave.kernel.horizon.runs").inc()
         reg.counter("interleave.kernel.horizon.seconds").inc(elapsed)
-        reg.counter("interleave.batch.rows").inc(batched_rows)
-        reg.counter("interleave.batch.dispatches").inc(batched_disp)
         reg.counter("interleave.batch.inline_rows").inc(
-            total_rows - batched_rows - scalar_rows)
+            total_rows - scalar_rows)
         reg.counter("interleave.batch.scalar_rows").inc(scalar_rows)
         reg.counter("interleave.horizon.rows").inc(hz_rows)
         reg.counter("interleave.horizon.regions").inc(hz_regions)

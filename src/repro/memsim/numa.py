@@ -110,13 +110,6 @@ class NumaMachine:
         # instead of several (the simulator spends most of its time there).
         self._l1_sets = [c._sets for c in self.l1]
         self._l1_mask = self.l1[0]._set_mask
-        self._l1_nsets = self.l1[0].n_sets
-        # Numpy tag mirror of the (direct-mapped) L1s, for the batched
-        # replay kernel's vectorized hit checks.  Built lazily by
-        # _ensure_l1_mirror on the first batched run -- purely scalar
-        # machines never pay for its maintenance -- and kept exact at
-        # every L1 content change below once it exists.
-        self._l1_tags = None
         self._l2_sets = [c._sets for c in self.l2]
         self._l2_mask = self.l2[0]._set_mask
         self._wb_retire = cfg.wb_retire
@@ -198,9 +191,6 @@ class NumaMachine:
             l1._invalidated.discard(first)
             if len(ways) > l1.assoc:
                 ways.pop()
-            mtags = self._l1_tags
-            if mtags is not None:
-                mtags[node][first & self._l1_mask] = first
             if self._prefetch_data and cls == DataClass.DATA:
                 self._issue_prefetches(node, first, now + latency)
             return latency
@@ -349,9 +339,6 @@ class NumaMachine:
         l1._invalidated.discard(line1)
         if len(ways) > l1.assoc:
             ways.pop()
-        mtags = self._l1_tags
-        if mtags is not None:
-            mtags[node][line1 & self._l1_mask] = line1
         if self._prefetch_data and cls == DataClass.DATA:
             self._issue_prefetches(node, line1, now + latency)
         return latency
@@ -474,17 +461,11 @@ class NumaMachine:
             return
         ratio = 1 << self._ratio_shift
         base = line2 << self._ratio_shift
-        mirror = self._l1_tags
-        mask = self._l1_mask
         for victim in victims:
             self.l2[victim].invalidate(line2, coherence=True)
             vl1 = self.l1[victim]
             for i in range(ratio):
-                # Clear the mirror slot only when the line was actually
-                # resident: the set may hold a different line.
-                if vl1.invalidate(base + i, coherence=True) \
-                        and mirror is not None:
-                    mirror[victim][(base + i) & mask] = -1
+                vl1.invalidate(base + i, coherence=True)
 
     def _evict_l2(self, node, line2):
         """Handle an L2 replacement: keep L1 inclusive, tell the directory."""
@@ -500,53 +481,12 @@ class NumaMachine:
         base = line2 << self._ratio_shift
         sets = self._l1_sets[node]
         mask = self._l1_mask
-        mirror = self._l1_tags
         # Replacement (non-coherence) invalidation, inlined from
         # Cache.invalidate: drop the line, keep the miss history.
         for line1 in range(base, base + (1 << self._ratio_shift)):
             ways = sets[line1 & mask]
             if line1 in ways:
                 ways.remove(line1)
-                if mirror is not None:
-                    mirror[node][line1 & mask] = -1
-
-    def _l1_fill(self, node, line1):
-        # L1 is write-through, so replacement never writes back.
-        self.l1[node].insert(line1)
-        mirror = self._l1_tags
-        if mirror is not None:
-            mirror[node][line1 & self._l1_mask] = line1
-
-    def _ensure_l1_mirror(self):
-        """Build or resync the batched kernel's L1 tag mirror.
-
-        Returns the per-node numpy tag arrays (see
-        :func:`repro.memsim.batch.make_l1_mirror`), or ``None`` when the
-        machine cannot mirror (no numpy, or a set-associative L1, whose
-        hits reorder LRU state).  Built lazily on first use so purely
-        scalar runs never pay for its maintenance, and resynced from the
-        authoritative ``_l1_sets`` on every call: the batched engine
-        calls this once per run, and the incremental updates at the
-        fill/invalidate sites keep the mirror exact within the run.
-        """
-        from repro.memsim.batch import make_l1_mirror
-
-        mirror = self._l1_tags
-        if mirror is None:
-            if self.config.l1_assoc != 1:
-                return None
-            mirror = make_l1_mirror(self.config.n_nodes, self._l1_nsets)
-            if mirror is None:
-                return None
-            self._l1_tags = mirror
-        n_sets = self._l1_nsets
-        for node, sets in enumerate(self._l1_sets):
-            tags = mirror[node]
-            tags[:n_sets] = -1
-            for idx, ways in enumerate(sets):
-                if ways:
-                    tags[idx] = ways[0]
-        return mirror
 
     # -- prefetching -----------------------------------------------------------
 
@@ -567,7 +507,7 @@ class NumaMachine:
             self.stats.prefetches_issued += 1
             line2 = pline >> self._ratio_shift
             latency = self._l2_read(node, line2, DataClass.DATA, count=False)
-            self._l1_fill(node, pline)
+            l1.insert(pline)  # write-through: replacement never writes back
             if latency > self.lat_l2:
                 # Unpipelined fills: each occupies the port for its full
                 # latency, so a burst takes about a tuple's worth of
@@ -642,17 +582,6 @@ class NumaMachine:
                 raise SanitizerError(
                     f"dirty line {line2:#x} owned by node {owner} has "
                     f"sharers {sorted(holders)} (must be exactly the owner)")
-        mirror = self._l1_tags
-        if mirror is not None:
-            for node in range(self.config.n_nodes):
-                tags = mirror[node]
-                for idx, ways in enumerate(self._l1_sets[node]):
-                    expect = ways[0] if ways else -1
-                    if tags[idx] != expect:
-                        raise SanitizerError(
-                            f"L1 tag mirror stale at node {node} set {idx}: "
-                            f"mirror holds {int(tags[idx])}, cache holds "
-                            f"{expect}")
 
     # -- workload-phase control -------------------------------------------------
 

@@ -8,7 +8,7 @@ drive all engines over synthetic traces -- built through the same
 ``record()`` coalescing path real queries use -- including adversarial
 mixes hypothesis generates: shared lines, lock handoffs, line-crossing
 accesses, L1-set aliasing that forces the horizon kernel's eviction
-guard, and write-buffer pressure.  The partitioner's boundary rules, the
+guard, and write-buffer pressure.  The planner's tag column, the
 sharing classifier, and the kernel-selection precedence are pinned
 separately.
 """
@@ -23,7 +23,6 @@ from repro.core.tracecache import record
 from repro.memsim import batch
 from repro.memsim.batch import (
     HAVE_NUMPY,
-    MIN_BATCH,
     machine_batch_reason,
     resolve_kernel,
     set_default_kernel,
@@ -143,17 +142,17 @@ def test_size_zero_and_tiny_accesses_identical():
     assert_kernels_agree([events] * 4)
 
 
-def test_gather_runs_identical():
-    """A long resident-line read run engages the gather tier."""
+def test_long_resident_read_run_identical():
+    """A long run of reads over two resident lines (busy rows mixed in,
+    one store in the middle) retires row by row through the inline tier."""
     line = CONFIG.l1_line
     events = [(EV_READ, 0, 4, 1), (EV_READ, line, 4, 1)]
-    # Re-read the two warm lines far past MIN_BATCH, busy rows mixed in.
-    for i in range(4 * MIN_BATCH):
+    for i in range(96):
         events.append((EV_READ, (i % 2) * line, 4, 1))
         if i % 7 == 0:
             events.append((EV_BUSY, 2))
     events.append((EV_WRITE, 0, 4, 1))
-    events += [(EV_READ, (i % 2) * line, 4, 1) for i in range(2 * MIN_BATCH)]
+    events += [(EV_READ, (i % 2) * line, 4, 1) for i in range(48)]
     assert_kernels_agree([events] * 4)
 
 
@@ -236,7 +235,7 @@ def test_aliasing_workloads_identical(per_cpu):
     assert_kernels_agree(per_cpu)
 
 
-# -- the partitioner -------------------------------------------------------------
+# -- the planner -----------------------------------------------------------------
 
 
 @needs_numpy
@@ -252,7 +251,7 @@ def test_plan_tags_single_line_rows():
         (EV_READ, 64, 4, 5),                 # single line -> tagged
         (EV_LOCK_REL, "l", 64, 5),
     ])
-    plan = trace_plan(trace, shift, 32)
+    plan = trace_plan(trace, shift)
     assert plan.mem_lines[0] == -1           # busy
     assert plan.mem_lines[1] == 0
     assert plan.mem_lines[2] == 1
@@ -264,49 +263,15 @@ def test_plan_tags_single_line_rows():
 
 
 @needs_numpy
-def test_plan_runs_break_at_writes_and_locks():
-    """Writes, lock events, and line-crossing reads all end a run."""
-    line = CONFIG.l1_line
-    shift = line.bit_length() - 1
-    reads = [(EV_READ, 0, 4, 1)] * (2 * MIN_BATCH)
-    for breaker in ((EV_WRITE, 0, 4, 1),
-                    (EV_LOCK_ACQ, "l", 0, 5),
-                    (EV_READ, line - 2, 4, 1)):
-        trace = make_trace(reads + [breaker] + reads)
-        plan = trace_plan(trace, shift, 32)
-        boundary = 2 * MIN_BATCH
-        assert len(plan.run_starts) == 2
-        assert plan.run_ends[0] <= boundary
-        assert plan.run_starts[1] >= boundary
-    # Busy/hit rows do NOT break a run (standalone rows ride along).
-    trace = make_trace(reads + [(EV_BUSY, 5)] + reads)
-    # A standalone BUSY between fusable reads is fused into the previous
-    # read row, so the whole stretch stays one run.
-    plan = trace_plan(trace, shift, 32)
-    assert len(plan.run_starts) == 1
-
-
-@needs_numpy
-def test_plan_drops_short_runs():
-    line = CONFIG.l1_line
-    shift = line.bit_length() - 1
-    chunk = [(EV_READ, 0, 4, 1)] * (MIN_BATCH - 1) + [(EV_WRITE, 0, 4, 1)]
-    trace = make_trace(chunk * 6)
-    plan = trace_plan(trace, shift, 32)
-    assert plan.run_starts == []
-    trace = make_trace([(EV_READ, 0, 4, 1)] * MIN_BATCH
-                       + [(EV_WRITE, 0, 4, 1)])
-    assert len(trace_plan(trace, shift, 32).run_starts) == 1
-
-
-@needs_numpy
 def test_plan_memoized_per_geometry():
     trace = make_trace([(EV_READ, 0, 4, 1)] * 4)
-    p1 = trace_plan(trace, 4, 32)
-    assert trace_plan(trace, 4, 32) is p1
-    p2 = trace_plan(trace, 5, 16)
+    p1 = trace_plan(trace, 4)
+    assert trace_plan(trace, 4) is p1
+    p2 = trace_plan(trace, 5)
     assert p2 is not p1
-    assert trace_plan(trace, 5, 16) is p2
+    assert trace_plan(trace, 5) is p2
+    # The set count is not part of the geometry a plan depends on.
+    assert trace.batch_plan(5, 16) is trace.batch_plan(5, 64) is p2
 
 
 @needs_numpy
@@ -329,7 +294,8 @@ def test_plain_machine_is_batchable():
 
 @needs_numpy
 def test_set_associative_l1_still_batches():
-    """assoc > 1 only disables the gather tier, not the batched kernel."""
+    """assoc > 1 is no fallback reason: the inline tier moves LRU state
+    exactly as the scalar paths do."""
     config = MachineConfig(n_nodes=2, l1_size=512, l1_line=16, l1_assoc=2,
                            l2_size=2048, l2_line=32)
     assert machine_batch_reason(NumaMachine(config)) is None
@@ -496,7 +462,11 @@ def test_resolve_kernel_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
     assert resolve_kernel() == "scalar"
     monkeypatch.delenv("REPRO_KERNEL")
-    assert resolve_kernel() == ("horizon" if HAVE_NUMPY else "scalar")
+    for request in (None, "auto"):
+        assert resolve_kernel(request) == ("batched" if HAVE_NUMPY
+                                           else "scalar")
+    monkeypatch.setattr(batch, "HAVE_NUMPY", False)
+    assert resolve_kernel() == resolve_kernel("auto") == "scalar"
 
 
 def test_resolve_kernel_rejects_unknown():

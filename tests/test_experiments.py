@@ -103,6 +103,7 @@ def test_fig12_reuse_shapes():
 def test_fig13_prefetch_shapes():
     results = fig13.run(scale=SCALE)
     assert results["Q6"]["speedup"] > 1.0
+    assert results["Q12"]["speedup"] > 1.0
     assert results["Q3"]["speedup"] <= 1.01
     assert "Figure 13" in fig13.report(results)
 

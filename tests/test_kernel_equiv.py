@@ -101,10 +101,14 @@ def test_planner_writing_oracle_state_is_impure(tmp_path):
     assert "wb.entries" in findings[0].message
 
 
-def test_planner_mirror_state_is_private(tmp_path):
+def test_planner_writing_machine_bookkeeping_is_impure(tmp_path):
+    """No machine attribute is planner-private: even the per-node port
+    bookkeeping, which no counter reports directly, is oracle state."""
     fx = planner_facts(tmp_path, """
-        def plan(machine, tag):
-            machine._l1_tags[tag] = True
-            return tag
+        def plan(machine, node):
+            machine._port_free[node] = 0
+            return node
     """)
-    assert effects.KernelEquivalenceRule().check_project(fx) == []
+    findings = effects.KernelEquivalenceRule().check_project(fx)
+    assert [f.rule for f in findings] == ["KRN001"]
+    assert "machine.port" in findings[0].message
