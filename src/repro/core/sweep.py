@@ -190,7 +190,7 @@ def _release_scenario(qid):
     A ``scn:<spec-hash>`` trace can only ever serve the points of its own
     spec, so nothing is lost but the memory: the variant caches, the
     recording memo, and the horizon schedules pinning the trace objects
-    (whose boxed columns, batch plans and share bases go with them).
+    (whose batch plans and share bases go with them).
     Ordinary query traces are never released -- later sweeps replay them.
     """
     from repro.core.experiment import _all_trace_caches

@@ -74,8 +74,8 @@ class QueryTrace:
     """
 
     __slots__ = ("kinds", "a", "b", "c", "d", "e", "lock_ids", "rows",
-                 "n_source_events", "_rows_nbytes", "_columns",
-                 "_batch_base", "_batch_plans", "_share_base", "__weakref__")
+                 "n_source_events", "_rows_nbytes", "_batch_base",
+                 "_batch_plans", "_share_base", "__weakref__")
 
     def __init__(self):
         self.kinds = array("b")
@@ -88,35 +88,16 @@ class QueryTrace:
         self.rows = None
         self.n_source_events = 0
         self._rows_nbytes = None
-        self._columns = None
         self._batch_base = None
         self._batch_plans = {}
         self._share_base = {}
 
-    def columns(self):
-        """The six columns as plain lists, memoized.
-
-        ``array`` storage is the compact at-rest encoding; replay dispatch
-        indexes the columns millions of times, and plain lists avoid the
-        per-access int boxing ``array.__getitem__`` pays.  Sweeps replay
-        one trace against dozens of machine configurations, so the boxed
-        view is built once and kept (it is dropped with the trace itself
-        when a cache is cleared).
-        """
-        cols = self._columns
-        if cols is None:
-            cols = self._columns = (list(self.kinds), list(self.a),
-                                    list(self.b), list(self.c),
-                                    list(self.d), list(self.e))
-        return cols
-
     def batch_plan(self, l1_shift, n_sets=None):
         """Line-tag columns for the batched replay kernel, memoized per L1
-        line size (see :func:`repro.memsim.batch.trace_plan`); like
-        :meth:`columns`, the derived view is paid once per trace, not per
-        replay, and dropped with the trace itself.  ``n_sets`` is ignored
-        (the plan depends on the line size alone); the benchmark harness
-        still passes it."""
+        line size (see :func:`repro.memsim.batch.trace_plan`); the
+        derived view is paid once per trace, not per replay, and dropped
+        with the trace itself.  ``n_sets`` is ignored (the plan depends
+        on the line size alone); the benchmark harness still passes it."""
         from repro.memsim.batch import trace_plan
 
         return trace_plan(self, l1_shift)
@@ -140,6 +121,14 @@ class QueryTrace:
             self._rows_nbytes = len(
                 pickle.dumps(self.rows, protocol=pickle.HIGHEST_PROTOCOL))
         return n + self._rows_nbytes
+
+    def plan_nbytes(self):
+        """Bytes held by the memoized batch-plan arrays (diagnostics);
+        numpy views over the trace's own columns are not counted."""
+        arrays = [*(self._batch_base or ()),
+                  *(p.mem_lines for p in self._batch_plans.values())]
+        return sum(arr.itemsize * len(arr) for arr in arrays
+                   if getattr(arr, "base", None) is None)
 
     def extend(self, gen):
         """Encode ``gen``'s events onto this trace; return its return value.
@@ -435,12 +424,14 @@ class TraceCache:
 
     def stats(self):
         """Live and ``released`` traces, their events and encoded bytes
-        (cumulative over both), hit/record/load counters, store bytes."""
+        (cumulative over both), the live traces' batch-plan bytes,
+        hit/record/load counters, store bytes."""
         total = Counter(_sizes(self._traces.values()), released=0)
         total.update(self._released)
         return {
             "traces": len(self._traces),
             **total,
+            "plan_bytes": sum(t.plan_nbytes() for t in self._traces.values()),
             "hits": self.hits,
             "records": self.records,
             "loads": self.loads,

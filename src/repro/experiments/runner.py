@@ -238,7 +238,8 @@ def _print_timings(config, outcomes):
     pm = point_memo_stats()
     print(f"  trace cache  hits={tc['hits']} records={tc['records']} "
           f"loads={tc['loads']} traces={tc['traces']} "
-          f"released={tc['released']} ({_fmt_bytes(tc['bytes'])})")
+          f"released={tc['released']} ({_fmt_bytes(tc['bytes'])}, "
+          f"plans {_fmt_bytes(tc['plan_bytes'])})")
     print(f"  trace store  read={_fmt_bytes(tc['bytes_read'])} "
           f"written={_fmt_bytes(tc['bytes_written'])}"
           + (f"  dir={config.trace_dir}" if config.trace_dir else ""))

@@ -8,15 +8,17 @@ even then the interaction is a short, fixed shape.  The batched kernel
 exploits that with one **inline tier**, planned here and bit-identical to
 scalar dispatch: a per-trace preprocessing pass computes, vectorized with
 numpy, the primary-cache line tag of every single-line read/write row and
-stores it as one plain column beside the trace's event columns (-1 marks
-the rows the dispatch loop must handle through its scalar branches:
+stores it as one ``array`` column beside the trace's event columns (-1
+marks the rows the dispatch loop must handle through its scalar branches:
 line-crossing accesses and lock/sync events).  The dispatch loop then
 retires tagged rows with the machine's read/write hot paths *inlined* --
 no method calls, no re-derivation of the line tag, no per-row attribute
 chases (the hierarchy's containers are bound to locals per dispatch
-window).  The tags stay ordinary machine-word ints on purpose: packing
-more fields per row was measured slower, because Python arithmetic on
->2**30 values allocates multi-digit ints in the hot loop.
+window).  The tags stay machine-word ints on purpose: packing more fields
+per row was measured slower, because Python arithmetic on >2**30 values
+allocates multi-digit ints in the hot loop.  Plan columns are stdlib
+``array`` objects, not lists: a list holds a boxed int per row for the
+trace's lifetime and was measured no faster end to end.
 
 Every row retires on its own; nothing retires runs of resident-line
 reads in bulk with numpy, because DSS traces have no runs long enough to
@@ -51,6 +53,7 @@ counters, and per-CPU accounting are bit-identical -- asserted by
 
 import os
 import warnings
+from array import array
 
 try:
     import numpy as _np
@@ -150,8 +153,8 @@ def machine_batch_reason(machine):
 class BatchPlan:
     """Precomputed inline-tier columns for one trace under one L1 line size.
 
-    ``mem_lines`` is the per-row tag column: one plain-list integer per
-    trace row holding the primary-cache line tag of a single-line
+    ``mem_lines`` is the per-row tag column (``array('q')``): one entry
+    per trace row holding the primary-cache line tag of a single-line
     read/write, or -1 for rows the dispatch loop must handle through its
     scalar branches.  ``mcost``/``mreads`` ride along from
     :func:`trace_base` (shift-independent, shared by every line size's
@@ -176,22 +179,28 @@ def _np_column(arr, dtype):
     return _np.frombuffer(arr, dtype=dtype)
 
 
+def _to_array(typecode, values):
+    """A stdlib ``array`` copy of numpy ``values``, allocated at its exact
+    size (``frombytes`` would over-allocate by a sixteenth)."""
+    out = array(typecode, [0]) * len(values)
+    _np_column(out, typecode)[:] = values
+    return out
+
+
 def trace_base(trace):
     """The shift-independent plan arrays for ``trace``, memoized on it.
 
-    Returns ``(memrw, addr, xorspan, mcost, mreads)``:
+    Returns ``(addr, xorspan, mcost, mreads)``:
 
-    * ``memrw`` -- bool mask of EV_READ-or-EV_WRITE rows;
     * ``addr`` -- the ``a`` column as int64 (byte address on memory rows);
-    * ``xorspan`` -- ``addr ^ (addr + size - 1)``: an access stays within
-      one line under line shift ``s`` iff ``xorspan >> s == 0`` (only
-      meaningful on memory rows);
-    * ``mcost`` / ``mreads`` -- plain-list per-row columns shared by every
-      line size's plan: the retire cost (1 cycle plus fused busy cycles)
-      and the ``l1_reads`` contribution (word count plus fused-hit count
-      for reads, fused-hit count alone for writes) of each read/write
-      row.  Kept as ordinary small ints so the dispatch loop's adds never
-      touch numpy scalars or multi-digit Python ints.
+    * ``xorspan`` -- ``addr ^ (addr + size - 1)`` on EV_READ/EV_WRITE
+      rows, -1 on every other row: a row is a single-line access under
+      line shift ``s`` iff ``xorspan >> s == 0``;
+    * ``mcost`` / ``mreads`` -- ``array('l')`` per-row columns shared by
+      every line size's plan: the retire cost (1 cycle plus fused busy
+      cycles) and the ``l1_reads`` contribution (word count plus
+      fused-hit count for reads, fused-hit count alone for writes) of
+      each read/write row (stdlib, so the loop never sees numpy scalars).
 
     The word count follows the scalar hot paths exactly: one reference
     per 4-byte word, minimum one (``1 if size <= 4 else (size+3) >> 2``).
@@ -207,10 +216,10 @@ def trace_base(trace):
     memread = kinds == 0
     memrw = memread | (kinds == 1)
     words = _np.maximum((size + 3) >> 2, 1)
-    xorspan = addr ^ (addr + size - 1)
-    mcost = _np.where(memrw, 1 + inert, 0).tolist()
-    mreads = (hits + _np.where(memread, words, 0)).tolist()
-    base = (memrw, addr, xorspan, mcost, mreads)
+    xorspan = _np.where(memrw, addr ^ (addr + size - 1), -1)
+    mcost = _to_array("l", _np.where(memrw, 1 + inert, 0))
+    mreads = _to_array("l", hits + _np.where(memread, words, 0))
+    base = (addr, xorspan, mcost, mreads)
     trace._batch_base = base
     return base
 
@@ -230,9 +239,9 @@ def trace_plan(trace, l1_shift):
     plan = plans.get(l1_shift)
     if plan is not None:
         return plan
-    memrw, addr, xorspan, mcost, mreads = trace_base(trace)
-    single = memrw & ((xorspan >> l1_shift) == 0)
-    mem_lines = _np.where(single, addr >> l1_shift, _np.int64(-1)).tolist()
+    addr, xorspan, mcost, mreads = trace_base(trace)
+    single = (xorspan >> l1_shift) == 0
+    mem_lines = _to_array("q", _np.where(single, addr >> l1_shift, -1))
     plan = BatchPlan(mem_lines, mcost, mreads, len(mem_lines))
     if len(plans) >= PLAN_MEMO:
         plans.pop(next(iter(plans)))

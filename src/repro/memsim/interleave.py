@@ -354,17 +354,14 @@ class Interleaver:
         cpu_stats = [CpuStats() for _ in range(n)]
         cursors = [0] * n
         ends = [len(t) for t in traces]
-        # Plain-list column views (memoized on each trace): lists index
-        # noticeably faster than ``array`` objects because they skip the
-        # per-access int boxing, and a sweep replays the same trace dozens
-        # of times, so the conversion is paid once per trace, not per run.
-        columns = [t.columns() for t in traces]
-        kinds_col = [c[0] for c in columns]
-        a_col = [c[1] for c in columns]
-        b_col = [c[2] for c in columns]
-        c_col = [c[3] for c in columns]
-        d_col = [c[4] for c in columns]
-        e_col = [c[5] for c in columns]
+        # The at-rest ``array`` columns, indexed directly: a list copy
+        # would keep a boxed int per row resident for the trace's life.
+        kinds_col = [t.kinds for t in traces]
+        a_col = [t.a for t in traces]
+        b_col = [t.b for t in traces]
+        c_col = [t.c for t in traces]
+        d_col = [t.d for t in traces]
+        e_col = [t.e for t in traces]
         lock_tables = [t.lock_ids for t in traces]
         alive = list(range(n))
         lock_holder = {}
@@ -654,10 +651,9 @@ class Interleaver:
         for i in range(n):
             t = traces[i]
             p = plans[i]
-            cols = t.columns()
             wb_i = machine.wb[i]
             ctxs.append((
-                cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
+                t.kinds, t.a, t.b, t.c, t.d, t.e,
                 p.mem_lines, p.mcost, p.mreads, t.lock_ids,
                 l1_sets[i], l2_sets[i], seen1_col[i], inv1_col[i],
                 seen2_col[i], inv2_col[i], wb_i, wb_i.entries,
@@ -1232,10 +1228,9 @@ class Interleaver:
         for i in range(n):
             t = traces[i]
             p = plans[i]
-            cols = t.columns()
             wb_i = machine.wb[i]
             ctxs.append((
-                cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
+                t.kinds, t.a, t.b, t.c, t.d, t.e,
                 p.mem_lines, p.mcost, p.mreads, t.lock_ids,
                 l1_sets[i], l2_sets[i], seen1_col[i], inv1_col[i],
                 seen2_col[i], inv2_col[i], wb_i, wb_i.entries,

@@ -362,8 +362,7 @@ def test_schedule_stops_point_at_next_boundary():
     sched = horizon_schedule([t0, t1], L2_SHIFT)
     stops = sched.plans[0].stops
     n = sched.plans[0].n_rows
-    cols = t0.columns()
-    widx = cols[0].index(EV_WRITE)
+    widx = t0.kinds.index(EV_WRITE)
     assert stops[widx] == widx
     assert all(stops[i] == widx for i in range(widx))
     assert all(stops[i] == n for i in range(widx + 1, n))

@@ -7,6 +7,9 @@ The only permitted difference is ``CpuStats.events``, because record-time
 coalescing merges runs of busy/hit events without changing what they do.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,7 @@ from repro.db.shmem import shared_home_fn
 from repro.memsim.events import (
     EV_BUSY, EV_HIT, EV_LOCK_ACQ, EV_LOCK_REL, EV_READ, EV_WRITE,
 )
+from repro.memsim.batch import resolve_kernel
 from repro.memsim.interleave import Interleaver
 from repro.memsim.numa import NumaMachine
 from repro.memsim.stats import MachineStats
@@ -158,6 +162,44 @@ def test_trace_encoding_is_columnar_and_coalesced():
     stats = cache.stats()
     assert stats["traces"] == len(cache)
     assert stats["events"] <= stats["source_events"]
+
+
+def _fresh_copy(trace):
+    """``trace``'s columns in a new trace object, with no replay memos."""
+    copy = QueryTrace()
+    for name in ("kinds", "a", "b", "c", "d", "e"):
+        setattr(copy, name, getattr(trace, name)[:])
+    copy.lock_ids = list(trace.lock_ids)
+    copy.rows = trace.rows
+    return copy
+
+
+def test_replay_retains_less_than_the_encoded_trace():
+    """Replay keeps no per-row Python objects: what the first replay
+    leaves on its traces (batch plans included) costs fewer bytes per row
+    than the encoded trace itself.  A boxed list view of the columns or a
+    list-typed plan column costs several times that and fails here.  Runs
+    under the process-default kernel (the CI kernel passes cover each);
+    tracing every allocation makes this replay ~50x slower than usual."""
+    if resolve_kernel() == "horizon":
+        pytest.skip("horizon schedules keep per-row stop lists by design")
+    scale = get_scale(SCALE)
+    cache = workload_trace_cache(SCALE)
+    traces = [_fresh_copy(cache.get("Q6", i, i, arena_size=scale.arena_size))
+              for i in range(4)]
+    rows = sum(len(t) for t in traces)
+    encoded_per_row = sum(t.nbytes() for t in traces) / rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        machine = NumaMachine(scale.machine_config(), home_fn=shared_home_fn())
+        Interleaver(machine).run_traces(traces)
+        del machine
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / rows < encoded_per_row
 
 
 def test_sweep_point_summaries_match_workload():

@@ -22,6 +22,7 @@ from repro.core.experiment import (
 from repro.core.run import RunConfig
 from repro.core.sweep import SweepPoint, run_sweep
 from repro.core.tracestore import decode_trace, encode_trace, store_key
+from repro.memsim.batch import resolve_kernel
 from repro.obs.metrics import registry
 from repro.obs.report import summary_hash
 from repro.workload import (
@@ -226,7 +227,11 @@ def test_query_traces_keep_process_lifetime_caching(trace_refs):
     assert len(cache) == point.n_procs
     assert cache.stats()["released"] == 0
     traces = [ref() for ref in trace_refs]
-    assert all(t is not None and t._columns is not None for t in traces)
+    assert all(t is not None for t in traces)
+    if resolve_kernel() != "scalar":
+        # The replay plans stay with the trace, and ``stats`` counts them.
+        assert all(t._batch_plans for t in traces)
+        assert cache.stats()["plan_bytes"] > 0
     # ... and a second sweep over the same traces records nothing new.
     run_sweep([SweepPoint(key="wide", qid="Q6",
                           machine={"l1_line": 64, "l2_line": 128})],
