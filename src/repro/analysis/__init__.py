@@ -1,34 +1,22 @@
 """repro.analysis -- repo-aware static analysis for the simulator.
 
-The paper's numbers rest on bit-exact, deterministic simulation; this
-package encodes the invariants PRs 1-4 verified by hand as machine-checked
-lint rules, run as ``python -m repro.analysis check src/`` (blocking in
-CI) or through the library API below.
+The paper's numbers rest on bit-exact, deterministic simulation and on
+fast replay kernels that mutate exactly the state the scalar oracle
+mutates.  This package checks both statically, run as ``python -m
+repro.analysis check src/`` (blocking in CI) or through the library API
+below.  Two rule families, each kept because it has caught a real bug:
 
-Rule families (see each module's docstring for the catalogue):
-
-* ``DET`` -- determinism (:mod:`repro.analysis.rules_det`)
-* ``HOT`` -- hot-loop hygiene in ``# repro: hot`` regions
-  (:mod:`repro.analysis.rules_hot`)
-* ``MP``  -- multiprocessing races / fork safety
-  (:mod:`repro.analysis.rules_mp`)
-* ``API`` -- surface drift vs a recorded baseline
-  (:mod:`repro.analysis.rules_api`)
 * ``KRN`` -- kernel state-equivalence: the fast replay paths' transitive
   effect summaries vs the scalar oracle (:mod:`repro.analysis.effects`)
 * ``TNT`` -- interprocedural determinism taint: nondeterministic sources
   flowing to result-affecting sinks (:mod:`repro.analysis.taint`)
 
-The whole-program core under the KRN/TNT rules -- the import-resolving
-call graph (:mod:`repro.analysis.callgraph`) and per-function effect
-summaries -- is also queryable directly via the ``effects`` and ``graph``
-CLI commands; the ``--cache`` flag keys a persistent store by file
-content hash (:mod:`repro.analysis.cache`) for sub-second warm reruns,
-and ``--format sarif`` exports for code scanning
-(:mod:`repro.analysis.sarif`).
+The whole-program core under both -- the import-resolving call graph
+(:mod:`repro.analysis.callgraph`) and per-function effect summaries -- is
+also queryable directly via the ``effects`` and ``graph`` CLI commands.
 
-Findings are silenced either inline (``# repro: allow[RULE] why``) or via
-the committed ``.analysis-baseline.json`` (:mod:`repro.analysis.baseline`).
+Findings are silenced inline only: ``# repro: allow[RULE] why`` on the
+offending line or the line above it.
 """
 
 from repro.analysis.engine import (CheckResult, analyze_file, check,
@@ -36,7 +24,6 @@ from repro.analysis.engine import (CheckResult, analyze_file, check,
                                    rule_catalogue)
 from repro.analysis.model import FileModel, Finding
 from repro.analysis.reporters import json_report, text_report
-from repro.analysis.sarif import sarif_report
 
 __all__ = [
     "CheckResult",
@@ -48,6 +35,5 @@ __all__ = [
     "gather_facts",
     "json_report",
     "rule_catalogue",
-    "sarif_report",
     "text_report",
 ]

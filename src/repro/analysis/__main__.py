@@ -4,13 +4,9 @@ Commands
 --------
 check [PATHS...]
     Analyze the given files/trees (default ``src/``) and print findings.
-    Exit 0 when clean, 1 when new findings remain, 2 on usage error.
-    ``--format {text,json,sarif}`` picks the report shape (``--json`` is
-    a back-compat alias for ``--format json``); ``--cache FILE`` enables
-    the content-hash incremental cache; ``--strict-todo`` fails the run
-    while baseline entries still read ``TODO: justify``;
-    ``--write-baseline`` records the current findings as accepted debt;
-    ``--no-baseline`` shows everything the rules see.
+    Exit 0 when clean, 1 when findings remain, 2 on usage error.
+    ``--format {text,json}`` picks the report shape; ``--select
+    PREFIXES`` keeps only matching rule ids.
 effects [PATHS...]
     Print transitive effect summaries (which oracle-state atoms each
     function writes/reads, through calls).  ``--function SUBSTR``
@@ -20,8 +16,6 @@ graph [PATHS...]
     Print the resolved call graph (``caller -> callee`` edges).
 rules
     Print the rule catalogue.
-api-baseline --write
-    Re-record the API surface baseline (deliberate surface changes).
 """
 
 import argparse
@@ -29,61 +23,30 @@ import json
 import os
 import sys
 
-from repro.analysis import baseline as baseline_mod
-from repro.analysis import effects, rules_api
-from repro.analysis.engine import (check, collect_files, gather_facts,
-                                   rule_catalogue)
+from repro.analysis import effects
+from repro.analysis.engine import check, gather_facts, rule_catalogue
 from repro.analysis.reporters import json_report, text_report
-from repro.analysis.sarif import sarif_report
 
 
 def _cmd_check(args):
-    fmt = "json" if args.json else args.format
-    result = check(
-        args.paths,
-        jobs=args.jobs,
-        baseline_file=args.baseline,
-        use_baseline=not args.no_baseline,
-        select=args.select.split(",") if args.select else None,
-        cache_file=args.cache,
-    )
-    if args.write_baseline:
-        path = args.baseline or baseline_mod.BASELINE_NAME
-        entries = baseline_mod.write(result.findings, path)
-        print(f"wrote {len(entries)} entries to {path} "
-              "(grep 'TODO: justify' and fill in reasons)")
-        return 0
-    if fmt == "json":
+    result = check(args.paths, jobs=args.jobs,
+                   select=args.select.split(",") if args.select else None)
+    root = os.getcwd()
+    if args.format == "json":
         report = json_report(
-            result.findings, root=result.root,
-            files_checked=result.files_checked, matched=result.matched,
+            result.findings, root=root,
+            files_checked=result.files_checked,
             suppressed=result.suppressed,
             rules=[rid for rid, _ in rule_catalogue()])
         print(json.dumps(report, indent=2, sort_keys=True))
-    elif fmt == "sarif":
-        print(json.dumps(sarif_report(result.findings, root=result.root,
-                                      rules=rule_catalogue()),
-                         indent=2, sort_keys=True))
     else:
-        print(text_report(result.findings, root=result.root,
-                          matched=result.matched,
+        print(text_report(result.findings, root=root,
                           suppressed=result.suppressed))
-        if args.cache:
-            print(f"cache: {result.cache_hits} hits, "
-                  f"{result.cache_misses} misses")
-    if result.baseline_todos and fmt == "text":
-        print(f"warning: {result.baseline_todos} baseline entr"
-              f"{'y' if result.baseline_todos == 1 else 'ies'} still "
-              "read 'TODO: justify' -- fill in reasons "
-              "(--strict-todo makes this an error)", file=sys.stderr)
-    if args.strict_todo and result.baseline_todos:
-        return 1
     return 0 if result.ok else 1
 
 
 def _cmd_effects(args):
-    _files, facts = gather_facts(args.paths, jobs=args.jobs,
-                                 cache_file=args.cache)
+    _files, facts = gather_facts(args.paths, jobs=args.jobs)
     fx = [f["fx"] for f in facts if f.get("fx")]
     summaries, _graph = effects.summarize(fx)
     if args.format == "json":
@@ -105,8 +68,7 @@ def _cmd_effects(args):
 
 
 def _cmd_graph(args):
-    _files, facts = gather_facts(args.paths, jobs=args.jobs,
-                                 cache_file=args.cache)
+    _files, facts = gather_facts(args.paths, jobs=args.jobs)
     fx = [f["fx"] for f in facts if f.get("fx")]
     graph = effects.build_graph(fx)
     edges = graph.edges(lambda info: [c[0] for c in info.get("calls", [])])
@@ -125,28 +87,11 @@ def _cmd_rules(_args):
     return 0
 
 
-def _cmd_api_baseline(args):
-    if not args.write:
-        facts = rules_api.load_baseline()
-        if facts is None:
-            print("no API baseline recorded", file=sys.stderr)
-            return 2
-        print(json.dumps(facts, indent=2, sort_keys=True))
-        return 0
-    files = collect_files(args.paths)
-    facts = rules_api.write_baseline(files)
-    print(f"recorded API baseline ({', '.join(sorted(facts))}) "
-          f"at {rules_api.baseline_path()}")
-    return 0
-
-
-def _add_common(parser, formats=("text", "json")):
+def _add_common(parser):
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")
-    parser.add_argument("--format", choices=formats, default="text",
+    parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--cache", metavar="FILE", default=None,
-                        help="incremental cache file (content-hash keyed)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: auto)")
 
@@ -158,21 +103,10 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command")
 
     p_check = sub.add_parser("check", help="analyze a tree for findings")
-    _add_common(p_check, formats=("text", "json", "sarif"))
-    p_check.add_argument("--json", action="store_true",
-                         help="alias for --format json")
-    p_check.add_argument("--baseline", metavar="FILE", default=None,
-                         help="baseline file (default: nearest "
-                              ".analysis-baseline.json above the tree)")
-    p_check.add_argument("--no-baseline", action="store_true",
-                         help="ignore the baseline; show all findings")
-    p_check.add_argument("--write-baseline", action="store_true",
-                         help="record current findings as accepted debt")
-    p_check.add_argument("--strict-todo", action="store_true",
-                         help="fail while baseline entries lack reasons")
+    _add_common(p_check)
     p_check.add_argument("--select", default=None, metavar="PREFIXES",
                          help="comma-separated rule-id prefixes to keep "
-                              "(e.g. DET,MP)")
+                              "(e.g. KRN,TNT)")
     p_check.set_defaults(func=_cmd_check)
 
     p_fx = sub.add_parser("effects",
@@ -188,13 +122,6 @@ def main(argv=None):
 
     p_rules = sub.add_parser("rules", help="print the rule catalogue")
     p_rules.set_defaults(func=_cmd_rules)
-
-    p_api = sub.add_parser("api-baseline",
-                           help="show or re-record the API surface baseline")
-    p_api.add_argument("paths", nargs="*", default=["src"])
-    p_api.add_argument("--write", action="store_true",
-                       help="record the current surface as the baseline")
-    p_api.set_defaults(func=_cmd_api_baseline)
 
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):

@@ -1,8 +1,8 @@
 """Import-resolving call graph over the analyzed tree.
 
-The whole-program rules (MP001 reachability, the effect-summary engine in
+The whole-program rules (the effect-summary engine in
 :mod:`repro.analysis.effects`, the taint engine in
-:mod:`repro.analysis.taint`) all need the same two ingredients:
+:mod:`repro.analysis.taint`) both need the same two ingredients:
 
 * a per-file :class:`Resolver` that turns a name/attribute chain into a
   fully-qualified dotted name by walking the module's imports (``from
@@ -21,7 +21,7 @@ exact matches over suffix matches over dynamic fans.
 import ast
 import os
 
-from repro.analysis.model import dotted_chain, import_map, resolve_relative
+from repro.analysis.model import import_map, resolve_relative
 
 #: Marker prefix for an unresolved-receiver method call recorded by the
 #: extractors; ``~dyn:name`` resolves to every class method called
@@ -68,7 +68,7 @@ def iter_functions(model):
 
     Top-level functions yield ``("f", node, None)``; methods yield
     ``("Cls.f", node, "Cls")``.  Nested defs are left to the caller (the
-    extractors merge them into their parent, like MP001 does).
+    extractors merge them into their parent).
     """
     for node in model.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

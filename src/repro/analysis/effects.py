@@ -560,8 +560,8 @@ class _FunctionExtractor:
             for s in stmt.body:
                 self.exec_stmt(s)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A nested def's effects belong to its parent (same rule as
-            # MP001): walk its body with a copy of the current env.
+            # A nested def's effects belong to its parent: walk its body
+            # with a copy of the current env.
             saved = dict(self.env)
             for s in stmt.body:
                 self.exec_stmt(s)
@@ -732,9 +732,11 @@ class KernelEquivalenceRule:
         surfacing as one wrong counter in Q1.
     """
 
-    id = "KRN"
-    title = "kernel state-equivalence vs the scalar oracle " \
-            "(KRN001 planner purity, KRN002 fast-path divergence)"
+    catalogue = (
+        ("KRN001", "planner function transitively mutates oracle state"),
+        ("KRN002", "fast replay path mutates oracle state the scalar "
+                   "oracle never does"),
+    )
     facts_key = "fx"
 
     def __init__(self, scalar_roots=("Interleaver._run_traces_scalar",),

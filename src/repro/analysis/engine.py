@@ -1,39 +1,27 @@
 """The analysis engine: file collection, parallel per-file pass, project
-pass, suppression and baseline application.
+pass, and inline suppression.
 
-Per-file rules (DET, HOT, MP002/3) see one :class:`FileModel` at a time
-and run in worker processes when the tree is big enough to pay for the
-pool.  Project rules need the whole program: the per-file pass also
-returns picklable *facts* -- three fragments per file, keyed ``"mp"``
-(the MP001 call-graph fragment), ``"fx"`` (effect summaries for the
-kernel state-equivalence rule), and ``"tn"`` (taint sources/calls/sinks
-for the interprocedural determinism rule) -- plus the file's suppression
-map, and the parent joins them: the same split the sweep engine uses for
-simulation (workers produce, parent merges).  A project rule declares
-which fragment it consumes via a ``facts_key`` attribute (default
-``"mp"``).
+Every rule is a project rule: it needs the whole program.  The per-file
+pass parses one file and returns picklable *facts* -- two fragments per
+file, keyed ``"fx"`` (effect summaries for the kernel state-equivalence
+rules) and ``"tn"`` (taint sources/calls/sinks for the interprocedural
+determinism rule) -- plus the file's suppression map, and the parent
+joins them: the same split the sweep engine uses for simulation (workers
+produce, parent merges).  A project rule declares which fragment it
+consumes via its ``facts_key`` attribute.
 
 Everything is deterministic: files sort before dispatch, findings sort
-before reporting, and the worker pass is a pure function of file content
--- which is also what makes the incremental cache sound: entries are
-keyed by content hash and replayed verbatim on a warm run.
+before reporting, and the worker pass is a pure function of file content.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis import baseline as baseline_mod
-from repro.analysis import cache as cache_mod
-from repro.analysis import (effects, rules_api, rules_det, rules_hot,
-                            rules_mp, taint)
+from repro.analysis import effects, taint
 from repro.analysis.model import FileModel, Finding
 
-FILE_RULES = (list(rules_det.RULES) + list(rules_hot.RULES)
-              + list(rules_mp.FILE_RULES))
-PROJECT_RULES = (list(rules_mp.PROJECT_RULES) + list(rules_api.PROJECT_RULES)
-                 + list(effects.PROJECT_RULES) + list(taint.PROJECT_RULES))
+PROJECT_RULES = list(effects.PROJECT_RULES) + list(taint.PROJECT_RULES)
 
 #: Directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".trace-store", "build", "dist"}
@@ -44,8 +32,7 @@ _PARALLEL_THRESHOLD = 8
 
 def rule_catalogue():
     """``(id, title)`` for every registered rule, sorted by id."""
-    pairs = [(r.id, r.title) for r in FILE_RULES + PROJECT_RULES]
-    return sorted(pairs)
+    return sorted(pair for rule in PROJECT_RULES for pair in rule.catalogue)
 
 
 def collect_files(paths):
@@ -69,14 +56,13 @@ def collect_files(paths):
 
 
 def analyze_file(path):
-    """The per-file pass: ``(findings, facts, suppressions, n_suppressed)``.
+    """The per-file pass: ``(findings, facts, suppressions)``.
 
-    ``facts`` is the dict of project-rule fragments (``"mp"``, ``"fx"``,
-    ``"tn"``), or ``None`` for an unparseable file.  Pure function of the
-    file's content -- safe to run in a pool worker and to cache by
-    content hash.  Unparseable files yield a single ``PARSE`` finding so
-    a syntax error fails the check instead of silently shrinking its
-    coverage.
+    ``facts`` is the dict of project-rule fragments (``"fx"``, ``"tn"``),
+    or ``None`` for an unparseable file.  Pure function of the file's
+    content -- safe to run in a pool worker.  Unparseable files yield a
+    single ``PARSE`` finding so a syntax error fails the check instead of
+    silently shrinking its coverage.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -87,98 +73,34 @@ def analyze_file(path):
         return ([Finding(rule="PARSE", path=os.path.abspath(path),
                          line=line, col=0,
                          message=f"file could not be analyzed: {exc}")],
-                None, {}, 0)
-    findings = []
-    n_suppressed = 0
-    for rule in FILE_RULES:
-        for finding in rule.check(model):
-            if model.is_suppressed(finding):
-                n_suppressed += 1
-            else:
-                findings.append(finding)
-    suppressions = {line: sorted(rules)
-                    for line, rules in model.suppressions.items()}
+                None, {})
     facts = {
-        "mp": rules_mp.collect_facts(model),
         "fx": effects.collect_facts(model),
         "tn": taint.collect_facts(model),
     }
-    return findings, facts, suppressions, n_suppressed
+    return [], facts, model.suppressions
 
 
-def _encode_result(result):
-    """A cache-safe (JSON) form of one ``analyze_file`` result."""
-    findings, facts, suppressions, n_suppressed = result
-    return {
-        "findings": [f.as_dict() for f in findings],
-        "facts": facts,
-        "suppressions": {str(k): v for k, v in suppressions.items()},
-        "n_suppressed": n_suppressed,
-    }
-
-
-def _decode_result(entry):
-    return ([Finding(**d) for d in entry["findings"]],
-            entry["facts"],
-            {int(k): v for k, v in entry["suppressions"].items()},
-            entry["n_suppressed"])
-
-
-def _run_files(files, *, jobs=None, cache_file=None):
-    """Run the per-file pass over ``files``, through the cache when given.
-
-    Returns ``(results, cache)`` with ``results`` aligned to ``files``;
-    ``cache`` is the saved :class:`~repro.analysis.cache.AnalysisCache`
-    (for hit/miss counts) or ``None``.
-    """
-    cache = None
-    cached = {}
-    keys = {}
-    to_run = list(files)
-    if cache_file:
-        cache = cache_mod.AnalysisCache(cache_file)
-        to_run = []
-        for path in files:
-            try:
-                with open(path, "rb") as f:
-                    data = f.read()
-            except OSError:
-                to_run.append(path)
-                continue
-            key = cache.key_for(path, data)
-            keys[path] = key
-            entry = cache.get(key)
-            if entry is not None:
-                cached[path] = _decode_result(entry)
-            else:
-                to_run.append(path)
-
+def _run_files(files, *, jobs=None):
+    """The per-file pass over ``files``, pooled when it pays; results
+    are aligned to ``files``."""
     if jobs is None:
-        jobs = 1 if len(to_run) < _PARALLEL_THRESHOLD \
+        jobs = 1 if len(files) < _PARALLEL_THRESHOLD \
             else min(os.cpu_count() or 1, 8)
-    if jobs > 1 and len(to_run) > 1:
+    if jobs > 1 and len(files) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = dict(zip(to_run, pool.map(analyze_file, to_run)))
-    else:
-        fresh = {path: analyze_file(path) for path in to_run}
-
-    if cache is not None:
-        for path, result in fresh.items():
-            if path in keys:
-                cache.put(keys[path], _encode_result(result))
-        cache.save()
-    return [cached.get(path) or fresh[path] for path in files], cache
+            return list(pool.map(analyze_file, files))
+    return [analyze_file(path) for path in files]
 
 
-def gather_facts(paths, *, jobs=None, cache_file=None):
+def gather_facts(paths, *, jobs=None):
     """``(files, facts_list)`` for the fact-dump commands (effects/graph).
 
     Unparseable files are skipped (they carry no facts); the ``check``
     command is where parse errors become findings.
     """
     files = collect_files(paths)
-    results, _cache = _run_files(files, jobs=jobs, cache_file=cache_file)
-    facts = [r[1] for r in results if r[1] is not None]
+    facts = [r[1] for r in _run_files(files, jobs=jobs) if r[1] is not None]
     return files, facts
 
 
@@ -186,104 +108,55 @@ def gather_facts(paths, *, jobs=None, cache_file=None):
 class CheckResult:
     """Everything one check run produced (before rendering)."""
 
-    findings: list = field(default_factory=list)  #: new, sorted
-    matched: int = 0        #: findings absorbed by the baseline
+    findings: list = field(default_factory=list)  #: sorted
     suppressed: int = 0     #: findings silenced by inline allows
     files_checked: int = 0
-    root: str = "."         #: display/baseline-relative root
-    baseline_file: Optional[str] = None
-    baseline_todos: int = 0  #: baseline entries still reading "TODO: justify"
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self):
         return not self.findings
 
 
-def _project_findings(all_facts, paths, suppressions_by_path):
-    """Run the project rules and apply inline suppressions to them.
-
-    ``all_facts`` holds the per-file fragment dicts; each rule receives
-    the fragment named by its ``facts_key`` (default ``"mp"``, the shape
-    the original MP001 rule was written against).
-    """
-    findings = []
-    for rule in PROJECT_RULES:
-        if hasattr(rule, "check_project"):
-            key = getattr(rule, "facts_key", "mp")
-            rule_facts = [f[key] for f in all_facts if f and f.get(key)]
-            findings.extend(rule.check_project(rule_facts))
-        elif hasattr(rule, "check_project_paths"):
-            findings.extend(rule.check_project_paths(paths))
-    kept, n_suppressed = [], 0
-    for finding in findings:
-        suppressed = False
-        per_file = suppressions_by_path.get(finding.path, {})
-        for lineno in (finding.line, finding.line - 1):
-            rules = per_file.get(lineno)
-            if rules and (finding.rule in rules or "*" in rules):
-                suppressed = True
-                break
-        if suppressed:
-            n_suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, n_suppressed
+def _is_suppressed(finding, suppressions_by_path):
+    """Whether an allow comment on the finding's line (or the line above
+    it) names the finding's rule (or ``*``)."""
+    per_file = suppressions_by_path.get(finding.path, {})
+    for lineno in (finding.line, finding.line - 1):
+        rules = per_file.get(lineno)
+        if rules and (finding.rule in rules or "*" in rules):
+            return True
+    return False
 
 
-def check(paths, *, jobs=None, baseline_file=None, use_baseline=True,
-          select=None, cache_file=None):
+def check(paths, *, jobs=None, select=None):
     """Analyze ``paths`` and return a :class:`CheckResult`.
 
     ``jobs=None`` picks serial vs pooled automatically; ``select`` keeps
-    only findings whose rule id starts with one of the given prefixes;
-    ``cache_file`` enables the content-hash incremental cache.
+    only findings whose rule id starts with one of the given prefixes.
     """
     files = collect_files(paths)
-
     findings = []
     all_facts = []
     suppressions_by_path = {}
-    n_suppressed = 0
-    results, run_cache = _run_files(files, jobs=jobs, cache_file=cache_file)
-    for path, (file_findings, facts, suppressions, suppressed) in zip(
-            files, results):
+    for path, (file_findings, facts, suppressions) in zip(
+            files, _run_files(files, jobs=jobs)):
         findings.extend(file_findings)
         if facts is not None:
             all_facts.append(facts)
-        suppressions_by_path[os.path.abspath(path)] = suppressions
-        n_suppressed += suppressed
+        suppressions_by_path[path] = suppressions
 
-    project, project_suppressed = _project_findings(
-        all_facts, files, suppressions_by_path)
-    findings.extend(project)
-    n_suppressed += project_suppressed
+    n_suppressed = 0
+    for rule in PROJECT_RULES:
+        rule_facts = [f[rule.facts_key] for f in all_facts]
+        for finding in rule.check_project(rule_facts):
+            if _is_suppressed(finding, suppressions_by_path):
+                n_suppressed += 1
+            else:
+                findings.append(finding)
 
     if select:
         prefixes = tuple(select)
         findings = [f for f in findings if f.rule.startswith(prefixes)]
-
-    # Baseline: nearest .analysis-baseline.json above the first path.
-    matched = 0
-    baseline_todos = 0
-    if baseline_file is None and use_baseline and files:
-        baseline_file = baseline_mod.find_baseline(
-            os.path.dirname(files[0]) or ".")
-    root = (os.path.dirname(os.path.abspath(baseline_file))
-            if baseline_file else os.getcwd())
-    if use_baseline and baseline_file and os.path.isfile(baseline_file):
-        entries, base_root = baseline_mod.load(baseline_file)
-        findings, absorbed = baseline_mod.apply(findings, entries, base_root)
-        matched = len(absorbed)
-        root = base_root
-        baseline_todos = sum(
-            1 for e in entries if "TODO: justify" in e.get("reason", ""))
-
     findings.sort(key=lambda f: f.sort_key())
-    return CheckResult(findings=findings, matched=matched,
-                       suppressed=n_suppressed, files_checked=len(files),
-                       root=root, baseline_file=baseline_file,
-                       baseline_todos=baseline_todos,
-                       cache_hits=run_cache.hits if run_cache else 0,
-                       cache_misses=run_cache.misses if run_cache else 0)
+    return CheckResult(findings=findings, suppressed=n_suppressed,
+                       files_checked=len(files))

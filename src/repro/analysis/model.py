@@ -2,12 +2,10 @@
 
 A :class:`FileModel` is one parsed source file plus everything a rule needs
 to judge it: the AST, the raw lines, the ``# repro: allow[RULE]``
-suppression map, the ``# repro: hot`` region markers, and the file's dotted
-module name (derived from the ``__init__.py`` chain, so the checker needs
-no import machinery).  A :class:`Finding` is one rule violation, carrying
-the stripped source line it fired on -- the baseline matches findings by
-``(rule, path, content)``, not by line number, so unrelated edits above a
-baselined site do not invalidate the baseline.
+suppression map, the ``# repro: oracle-covered[ATOM]`` contract map, and
+the file's dotted module name (derived from the ``__init__.py`` chain, so
+the checker needs no import machinery).  A :class:`Finding` is one rule
+violation, carrying the stripped source line it fired on.
 """
 
 import ast
@@ -15,15 +13,11 @@ import os
 import re
 from dataclasses import asdict, dataclass
 
-#: Inline suppression: ``# repro: allow[DET002]`` or ``allow[DET002,MP001]``,
+#: Inline suppression: ``# repro: allow[TNT001]`` or ``allow[TNT001,KRN002]``,
 #: optionally followed by a justification.  A suppression applies to
 #: findings on its own line and on the line directly below it, so it can
 #: trail the offending statement or sit on its own line above it.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s*]+)\]")
-
-#: Hot-region marker: ``# repro: hot`` on a loop or ``def`` line (or the
-#: line directly above it) declares the construct's body a hot region.
-_HOT_RE = re.compile(r"#\s*repro:\s*hot\b(?!\S)")
 
 #: Kernel-equivalence contract: ``# repro: oracle-covered[l2.sets]`` (or
 #: ``oracle-covered[l2.sets:append]``, or ``oracle-covered[*]``) on a
@@ -44,7 +38,7 @@ class Finding:
     line: int
     col: int
     message: str
-    #: Stripped source text of ``line`` -- the baseline's matching key.
+    #: Stripped source text of ``line``.
     content: str = ""
 
     def as_dict(self):
@@ -84,11 +78,6 @@ def parse_suppressions(lines):
     return out
 
 
-def parse_hot_markers(lines):
-    """Line numbers carrying a ``# repro: hot`` marker."""
-    return {i for i, text in enumerate(lines, start=1) if _HOT_RE.search(text)}
-
-
 def parse_coverage(lines):
     """``{line_number: set_of_atoms}`` for every oracle-covered comment.
 
@@ -109,12 +98,10 @@ class FileModel:
 
     def __init__(self, path, text):
         self.path = os.path.abspath(path)
-        self.text = text
         self.lines = text.splitlines()
         self.module = module_name(path)
         self.tree = ast.parse(text, filename=path)
         self.suppressions = parse_suppressions(self.lines)
-        self.hot_markers = parse_hot_markers(self.lines)
         self.coverage = parse_coverage(self.lines)
 
     # -- helpers for rules -------------------------------------------------
@@ -125,24 +112,6 @@ class FileModel:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def finding(self, rule, node_or_line, message):
-        """Build a :class:`Finding` anchored at an AST node or line number."""
-        if isinstance(node_or_line, int):
-            line, col = node_or_line, 0
-        else:
-            line, col = node_or_line.lineno, node_or_line.col_offset
-        return Finding(rule=rule, path=self.path, line=line, col=col,
-                       message=message, content=self.line_content(line))
-
-    def is_suppressed(self, finding):
-        """Whether an allow comment on the finding's line (or the line
-        above it) names the finding's rule (or ``*``)."""
-        for lineno in (finding.line, finding.line - 1):
-            rules = self.suppressions.get(lineno)
-            if rules and (finding.rule in rules or "*" in rules):
-                return True
-        return False
-
     def is_covered(self, lineno, atom, op):
         """Whether an oracle-covered comment on ``lineno`` (or the line
         above it) names ``atom`` (optionally ``atom:op``) or ``*``."""
@@ -152,24 +121,6 @@ class FileModel:
                           or f"{atom}:{op}" in atoms):
                 return True
         return False
-
-    def hot_regions(self):
-        """``(node, start_line, end_line)`` for every marked hot construct.
-
-        A marker on the construct's own first line or on the line directly
-        above it counts; ``for``/``while`` loops and function definitions
-        can be marked.
-        """
-        regions = []
-        if not self.hot_markers:
-            return regions
-        kinds = (ast.For, ast.While, ast.FunctionDef, ast.AsyncFunctionDef)
-        for node in ast.walk(self.tree):
-            if isinstance(node, kinds):
-                if (node.lineno in self.hot_markers
-                        or node.lineno - 1 in self.hot_markers):
-                    regions.append((node, node.lineno, node.end_lineno))
-        return regions
 
 
 def dotted_chain(node):

@@ -12,11 +12,11 @@ import os
 import time
 
 #: Bump only when a field changes meaning or disappears; adding is free.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 REPORT_KIND = "repro-analysis-report"
 
 
-def text_report(findings, *, root=None, matched=0, suppressed=0):
+def text_report(findings, *, root=None, suppressed=0):
     """Compiler-style lines: ``path:line:col: RULE message``."""
     lines = []
     for f in findings:
@@ -29,8 +29,6 @@ def text_report(findings, *, root=None, matched=0, suppressed=0):
         lines.append(f"{path}:{f.line}:{f.col}: {f.rule} {f.message}")
     noun = "finding" if len(findings) == 1 else "findings"
     tail = f"{len(findings)} {noun}"
-    if matched:
-        tail += f", {matched} baselined"
     if suppressed:
         tail += f", {suppressed} suppressed inline"
     lines.append(tail)
@@ -45,8 +43,8 @@ def _summary_hash(payload):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def json_report(findings, *, root=None, files_checked=0, matched=0,
-                suppressed=0, rules=()):
+def json_report(findings, *, root=None, files_checked=0, suppressed=0,
+                rules=()):
     """The findings as an obs-convention report dict."""
     items = []
     for f in findings:
@@ -62,7 +60,6 @@ def json_report(findings, *, root=None, files_checked=0, matched=0,
         "findings": items,
         "counts": {
             "new": len(items),
-            "baselined": matched,
             "suppressed": suppressed,
             "files_checked": files_checked,
         },

@@ -1,8 +1,7 @@
 """TNT: interprocedural determinism taint analysis.
 
-The syntactic DET rules flag nondeterministic *sources* wherever they
-appear inside the deterministic core.  This engine tracks the *flows*:
-a wall-clock read, an unseeded RNG draw, a pid, an environment read, or
+This engine tracks nondeterminism *flows*: a wall-clock read, an
+unseeded RNG draw, ambient entropy, a pid, an environment read, or
 set-iteration order is only a correctness bug when its value reaches a
 **result-affecting sink** -- trace encoding, metric counters, report
 hashes, or ledger records.  Flows are tracked through assignments,
@@ -20,10 +19,11 @@ The model is deliberately conservative in one direction each way:
 * **Sinks are an explicit catalog**: result-affecting call targets, not
   "anything that writes".
 
-Suppressions: an existing ``# repro: allow[DET00x]`` (or
-``allow[TNT001]``, or ``allow[*]``) on the *source* line defuses the
-source itself; the engine's standard line/line-1 suppression at the
-*sink* finding works too -- that is suppression at the taint edge.
+Suppressions: ``# repro: allow[TNT001]`` (or ``allow[*]``) on the
+*source* line defuses the source itself.  On a *sink* line it is
+suppression at the taint edge: the engine's standard line/line-1
+suppression silences the sink's own finding, and the solver stops
+parameters flowing into that sink, so callers are not flagged either.
 ``sorted(...)`` strips set-order taint (it re-imposes a deterministic
 order) while passing every other kind through.
 
@@ -35,17 +35,33 @@ predicates only grow.
 
 import ast
 
-from repro.analysis import effects, rules_det
+from repro.analysis import effects
 from repro.analysis.callgraph import DYN_PREFIX, CallGraph, Resolver, \
     iter_functions
 from repro.analysis.model import Finding, dotted_chain, resolve_relative
 
 RULE_ID = "TNT001"
 
-#: Source kinds and the allow-comment ids that defuse them at the source
-#: line (TNT001 and * always work).
-_SOURCE_DET = {"wall-clock": "DET002", "rng": "DET001", "entropy": "DET003",
-               "pid": None, "env": None, "set-order": "DET005"}
+#: Allow-comment ids that defuse a source or a sink at its own line.
+_ALLOW = {RULE_ID, "*"}
+
+#: Wall-clock reads.  Monotonic clocks (``perf_counter``, ``monotonic``)
+#: are not sources: timing *measurement* is fine, timing *data* is not.
+WALL_CLOCKS = {
+    "time.time", "time.time_ns", "time.ctime", "time.localtime",
+    "time.gmtime", "time.strftime",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+}
+
+#: Ambient entropy: calls, and modules whose every call is a source.
+ENTROPY = {"os.urandom", "uuid.uuid1", "uuid.uuid4", "os.getrandbits"}
+ENTROPY_MODULES = ("secrets",)
+
+#: Module-global RNG entry points that are fine: seeding/instantiating
+#: (an unseeded ``random.Random()`` is caught before this is consulted).
+RANDOM_OK = {"random.Random", "random.SystemRandom", "random.seed",
+             "random.getstate", "random.setstate"}
 
 #: Fully-qualified call targets that are result-affecting sinks.
 SINK_FUNCTIONS = {
@@ -64,7 +80,6 @@ SINK_METHODS = {
     "complete": "complete (ledger record)",
 }
 
-#: pid-style sources beyond the DET catalogs.
 _PID_SOURCES = {"os.getpid", "os.getppid", "threading.get_ident",
                 "threading.get_native_id"}
 
@@ -112,17 +127,14 @@ class _FunctionTaint:
 
     # -- bookkeeping -------------------------------------------------------
 
+    def _allowed(self, line):
+        return any(self.model.suppressions.get(ln, set()) & _ALLOW
+                   for ln in (line, line - 1))
+
     def _source(self, kind, line, label):
-        det = _SOURCE_DET.get(kind)
-        allowed = {RULE_ID, "*"}
-        if det:
-            allowed.add(det)
-        suppressed = any(
-            self.model.suppressions.get(ln, set()) & allowed
-            for ln in (line, line - 1))
         idx = len(self.sources)
         self.sources.append({"kind": kind, "line": line, "label": label,
-                             "suppressed": suppressed})
+                             "suppressed": self._allowed(line)})
         return frozenset({("s", idx)})
 
     def _record_call(self, target, line, arg_tokens, extra_tokens):
@@ -138,7 +150,8 @@ class _FunctionTaint:
     def _record_sink(self, name, line, tokens):
         self.sinks.append({"name": name, "line": line,
                            "content": self.model.line_content(line),
-                           "tokens": sorted(map(list, tokens))})
+                           "tokens": sorted(map(list, tokens)),
+                           "suppressed": self._allowed(line)})
 
     # -- expression walk ---------------------------------------------------
 
@@ -191,20 +204,20 @@ class _FunctionTaint:
         """A source token set if this call reads a nondeterminism source."""
         if resolved is None:
             return None
-        if resolved in rules_det.WALL_CLOCKS:
+        if resolved in WALL_CLOCKS:
             return self._source("wall-clock", node.lineno, resolved)
         if resolved in _PID_SOURCES:
             return self._source("pid", node.lineno, resolved)
         if resolved in _ENV_CALLS or resolved == "os.environ":
             return self._source("env", node.lineno, resolved)
-        if (resolved in rules_det.ENTROPY
-                or resolved.split(".")[0] in rules_det.ENTROPY_MODULES):
+        if (resolved in ENTROPY
+                or resolved.split(".")[0] in ENTROPY_MODULES):
             return self._source("entropy", node.lineno, resolved)
         if resolved in ("random.Random", "numpy.random.default_rng"):
             if not node.args and not node.keywords:
                 return self._source("rng", node.lineno, resolved)
             return frozenset()  # seeded: deterministic
-        if resolved in rules_det.RANDOM_OK:
+        if resolved in RANDOM_OK:
             return frozenset()
         if resolved.startswith("random.") and resolved.count(".") == 1:
             return self._source("rng", node.lineno, resolved)
@@ -241,8 +254,14 @@ class _FunctionTaint:
         if src is not None:
             return src | extra
 
-        # Materializing a set feeds hash order into a sequence (DET005's
-        # flow form).
+        # A method on an unresolved receiver returns something derived
+        # from it: ``rng = random.Random(); rng.random()`` must carry the
+        # unseeded instance's taint into the draw.
+        receiver = frozenset()
+        if resolved is None and isinstance(func, ast.Attribute):
+            receiver = self.tokens(func.value)
+
+        # Materializing a set feeds hash order into a sequence.
         if isinstance(func, ast.Name) and func.id in ("list", "tuple") \
                 and node.args and _is_set_expr(node.args[0], self.set_names):
             arg_tokens[0] = arg_tokens[0] | self._source(
@@ -276,7 +295,8 @@ class _FunctionTaint:
                 and func.attr not in effects.DYN_NOISE \
                 and not func.attr.startswith("__"):
             target = DYN_PREFIX + func.attr
-        return self._record_call(target, node.lineno, arg_tokens, extra)
+        return (self._record_call(target, node.lineno, arg_tokens, extra)
+                | receiver)
 
     def _comp_tokens(self, node):
         saved = dict(self.env)
@@ -622,6 +642,8 @@ class _Solver:
                             else _pf.get(tok, set()))
 
                 for sink in info["sinks"]:
+                    if sink["suppressed"]:
+                        continue  # an allowed sink takes no parameters
                     for tok in sink["tokens"]:
                         for j in flow_of(tok):
                             slot = self.PS[qual].setdefault(j, set())
@@ -708,8 +730,9 @@ def solve(tn_list):
 class TaintFlowRule:
     """TNT001 -- a project rule over the per-file taint fragments."""
 
-    id = RULE_ID
-    title = "nondeterministic source flows to a result-affecting sink"
+    catalogue = (
+        (RULE_ID, "nondeterministic source flows to a result-affecting sink"),
+    )
     facts_key = "tn"
 
     def check_project(self, tn_list):

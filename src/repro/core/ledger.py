@@ -255,6 +255,8 @@ class LeaseLedger:
             ) from exc
         reg = registry()
         reg.counter("ledger.appends").inc()
+        # Record width varies with the holder's pid and the lease clock.
+        # repro: allow[TNT001] observability only, never a result
         reg.counter("ledger.bytes_written").inc(len(record))
 
     @staticmethod
@@ -262,7 +264,7 @@ class LeaseLedger:
         # Wall clock on purpose: lease timestamps are compared across
         # processes and across runs (a resumed sweep judges the previous
         # run's leases), where no shared monotonic clock exists.
-        return time.time()  # repro: allow[DET002] cross-process lease clock
+        return time.time()  # repro: allow[TNT001] cross-process lease clock
 
     # -- lease protocol ----------------------------------------------------
 

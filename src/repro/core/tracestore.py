@@ -402,7 +402,7 @@ def clean_stale_temps(directory, max_age=STALE_TMP_AGE):
         return 0
     removed = 0
     # Wall clock on purpose: it is compared against on-disk mtimes.
-    now = time.time()  # repro: allow[DET002] compared to file mtimes
+    now = time.time()
     for name in names:
         if TMP_MARKER not in name:
             continue

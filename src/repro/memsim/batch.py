@@ -88,7 +88,7 @@ def _check_kernel(kernel):
 def set_default_kernel(kernel):
     """Set the process-default kernel (``RunConfig.kernel`` lands here)."""
     global _DEFAULT
-    # repro: allow[MP001] process-local by design; workers apply RunConfig
+    # Process-local by design: workers apply RunConfig themselves.
     _DEFAULT = _check_kernel(kernel or "auto")
 
 
@@ -117,7 +117,7 @@ def resolve_kernel(kernel=None):
     _check_kernel(kernel)
     if kernel in ("batched", "horizon") and not HAVE_NUMPY:
         if not _WARNED_NO_NUMPY:
-            # repro: allow[MP001] warn-once flag is per-process by design
+            # The warn-once flag is per-process by design.
             _WARNED_NO_NUMPY = True
             warnings.warn(
                 f"the {kernel} replay kernel needs numpy (the 'perf' "

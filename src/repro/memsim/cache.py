@@ -65,7 +65,6 @@ class Cache:
         """Return the line tag covering byte address ``addr``."""
         return addr >> self.line_shift
 
-    # repro: hot
     def lookup(self, line):
         """Probe the cache for ``line``; update LRU and return hit/miss."""
         ways = self._sets[line & self._set_mask]
@@ -80,7 +79,6 @@ class Cache:
         """Return whether ``line`` is resident, without touching LRU state."""
         return line in self._sets[line & self._set_mask]
 
-    # repro: hot
     def insert(self, line):
         """Fill ``line`` into the cache; return the evicted tag, if any."""
         ways = self._sets[line & self._set_mask]

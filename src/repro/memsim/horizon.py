@@ -202,8 +202,7 @@ def horizon_schedule(traces, l2_shift):
     # Keyed on trace identity, not content: the memo holds strong refs to
     # its traces, so ids cannot be recycled under it, and the schedule is
     # a pure cache whose values never depend on the key ordering.
-    key = (tuple(id(t) for t in traces),  # repro: allow[DET004] see above
-           l2_shift)
+    key = (tuple(id(t) for t in traces), l2_shift)
     hit = _schedules.get(key)
     if hit is not None:
         return hit[1]
@@ -235,9 +234,7 @@ def horizon_schedule(traces, l2_shift):
     # rebuilds its own schedules, and nothing flows between processes
     # through it (run stats travel the metrics-registry merge path).
     if len(_schedules) >= SCHEDULE_MEMO:
-        # repro: allow[MP001] process-local cache by design, see above
         _schedules.pop(next(iter(_schedules)))
-    # repro: allow[MP001] process-local cache by design, see above
     _schedules[key] = (tuple(traces), sched)
     _note_schedule(sched)
     return sched
@@ -270,7 +267,6 @@ def evict_traces(traces):
     The targeted form of :func:`clear_memo`: a sweep releasing one
     scenario's traces must not cost the query traces their schedules.
     """
-    gone = {id(t) for t in traces}  # repro: allow[DET004] identity match
+    gone = {id(t) for t in traces}
     for key in [k for k in _schedules if gone.intersection(k[0])]:
-        # repro: allow[MP001] process-local cache by design, see above
         del _schedules[key]

@@ -384,7 +384,7 @@ class Interleaver:
         # check stays an int-int comparison.
         INF = 1 << 62
 
-        # repro: hot -- the replay dispatch loop; see rules_hot.py.
+        # The replay dispatch loop.
         while alive:
             # Identical argmin/limit selection to :meth:`run`: the chosen
             # processor dispatches in a tight loop while it stays strictly
@@ -440,8 +440,8 @@ class Interleaver:
                     stats.finish_time = now
                     if sink is not None:
                         sink[cpu] = traces[cpu].rows
-                    # Cold by the HOT lint's sanitizer-gate exemption: the
-                    # sweep runs once per finished stream, not per event.
+                    # Cold: the sweep runs once per finished stream, not
+                    # per event.
                     if _sanitize:
                         machine.check_invariants()
                     break
@@ -660,7 +660,7 @@ class Interleaver:
                 wb_i.entries.popleft, wb_i.entries.append,
                 ends[i], cpu_stats[i], cpu_stats[i].mem_by_class))
 
-        # repro: hot -- the batched replay dispatch loop; see rules_hot.py.
+        # The batched replay dispatch loop.
         while alive:
             # Identical argmin/limit selection to :meth:`run`: the chosen
             # processor dispatches in a tight loop while it stays strictly
@@ -704,8 +704,8 @@ class Interleaver:
                     stats.finish_time = now
                     if sink is not None:
                         sink[cpu] = traces[cpu].rows
-                    # Cold by the HOT lint's sanitizer-gate exemption: the
-                    # sweep runs once per finished stream, not per event.
+                    # Cold: the sweep runs once per finished stream, not
+                    # per event.
                     if _sanitize:
                         machine.check_invariants()
                     break
@@ -758,7 +758,6 @@ class Interleaver:
                                         else lat_2hop
                                 holders = sharers.get(line2)
                                 if holders is None:
-                                    # repro: allow[HOT001] only on L2 miss
                                     sharers[line2] = {cpu}
                                 else:
                                     holders.add(cpu)
@@ -838,7 +837,6 @@ class Interleaver:
                                             else lat_2hop
                                     holders = sharers.get(line2)
                                     if holders is None:
-                                        # repro: allow[HOT001] only on L2 miss
                                         sharers[line2] = {cpu}
                                     else:
                                         holders.add(cpu)
@@ -1238,7 +1236,7 @@ class Interleaver:
                 ends[i], cpu_stats[i], cpu_stats[i].mem_by_class,
                 sched.plans[i].stops))
 
-        # repro: hot -- the horizon replay dispatch loop; see rules_hot.py.
+        # The horizon replay dispatch loop.
         while alive:
             k = len(alive)
             if n_virtual == k and k > 1:
@@ -1344,8 +1342,8 @@ class Interleaver:
                     stats.finish_time = now
                     if sink is not None:
                         sink[cpu] = traces[cpu].rows
-                    # Cold by the HOT lint's sanitizer-gate exemption: the
-                    # sweep runs once per finished stream, not per event.
+                    # Cold: the sweep runs once per finished stream, not
+                    # per event.
                     if _sanitize:
                         machine.check_invariants()
                     break
@@ -1356,7 +1354,6 @@ class Interleaver:
                     # only non-write-shared lines, so run the region to
                     # completion now -- no window limit -- recording
                     # per-row completion times for the virtual replay.
-                    # repro: allow[HOT001] one virtual clock per region
                     vt = []
                     vt_append = vt.append
                     rstart = pos
@@ -1441,7 +1438,6 @@ class Interleaver:
                                                 else lat_2hop
                                         holders = sharers.get(line2)
                                         if holders is None:
-                                            # repro: allow[HOT001] only on L2 miss
                                             sharers[line2] = {cpu}
                                         else:
                                             holders.add(cpu)
@@ -1560,7 +1556,6 @@ class Interleaver:
                                                     else lat_2hop
                                             holders = sharers.get(line2)
                                             if holders is None:
-                                                # repro: allow[HOT001] only on L2 miss
                                                 sharers[line2] = {cpu}
                                             else:
                                                 holders.add(cpu)
@@ -1800,7 +1795,7 @@ class Interleaver:
 
                     hz_rows += pos - rstart
                     hz_regions += 1
-                    # Cold by the HOT lint's sanitizer-gate exemption.
+                    # Cold: once per region, and only in sanitizer mode.
                     if _sanitize:
                         _check_monotonic(vt, "horizon virtual clock")
                     j = bisect_left(vt, limit)
@@ -1863,7 +1858,6 @@ class Interleaver:
                                         else lat_2hop
                                 holders = sharers.get(line2)
                                 if holders is None:
-                                    # repro: allow[HOT001] only on L2 miss
                                     sharers[line2] = {cpu}
                                 else:
                                     holders.add(cpu)

@@ -130,7 +130,6 @@ class NumaMachine:
 
     # -- demand accesses -----------------------------------------------------
 
-    # repro: hot
     def read(self, node, addr, size, cls, now):
         """Perform a load; return stall cycles beyond the pipelined cycle.
 
@@ -205,7 +204,6 @@ class NumaMachine:
             stall += read_line(node, first, cls, now + stall)
         return stall
 
-    # repro: hot
     def write(self, node, addr, size, cls, now):
         """Perform a store; return stall cycles (write-buffer overflow)."""
         shift = self._l1_shift
@@ -283,7 +281,6 @@ class NumaMachine:
 
     # -- internals -----------------------------------------------------------
 
-    # repro: hot
     def _read_line(self, node, line1, cls, now):
         stats = self.stats
         stats.l1_reads += 1
@@ -304,7 +301,6 @@ class NumaMachine:
             return 0
         return self._read_miss(node, line1, cls, now)
 
-    # repro: hot
     def _read_miss(self, node, line1, cls, now):
         # Same inlining as the read() hot path (Cache.lookup/insert and
         # classify_miss): multi-line accesses miss here once per line, and
@@ -382,7 +378,6 @@ class NumaMachine:
             self._evict_l2(node, ways2.pop())
         return latency
 
-    # repro: hot
     def _write_line(self, node, line1, cls, now):
         stats = self.stats
         stats.l1_writes += 1

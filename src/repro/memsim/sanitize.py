@@ -10,9 +10,8 @@ asserts exactly that.
 
 The flag is read once at import: workers inherit it through the spawn
 environment, and flipping it mid-run would make "which iterations were
-checked" ambiguous.  Inside ``# repro: hot`` regions the checks hide
-behind an ``if _sanitize:`` gate, which the HOT lint rules recognize and
-exempt (see :mod:`repro.analysis.rules_hot`).
+checked" ambiguous.  Inside the replay loops the checks hide behind an
+``if _sanitize:`` gate, so an unsanitized run pays one branch for them.
 """
 
 import os

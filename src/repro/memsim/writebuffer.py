@@ -24,7 +24,6 @@ class WriteBuffer:
         self._last_completion = 0
         self.stall_cycles = 0
 
-    # repro: hot
     def issue(self, now, latency):
         """Issue a store at time ``now`` with service time ``latency``.
 
@@ -45,7 +44,6 @@ class WriteBuffer:
         self.stall_cycles += stall
         return stall
 
-    # repro: hot
     def _drain(self, now):
         entries = self.entries
         while entries and entries[0] <= now:

@@ -99,8 +99,8 @@ def build_report(config=None, experiments=(), metrics=None, spans=None,
     return {
         "kind": REPORT_KIND,
         "schema_version": SCHEMA_VERSION,
-        # repro: allow[DET002] report metadata only -- generated_unix is
-        # never hashed (result_hash covers just each experiment's results)
+        # Report metadata only -- generated_unix is never hashed
+        # (result_hash covers just each experiment's results)
         "generated_unix": time.time(),
         "config": jsonable(config) if config is not None else {},
         "experiments": exp_rows,

@@ -95,7 +95,7 @@ def clear_scenarios():
 def release_scenario(qid):
     """Forget ``qid``'s memoized recordings (the spec stays registered)."""
     for mkey in [k for k in _RECORDINGS if k[0] == qid]:
-        del _RECORDINGS[mkey]  # repro: allow[MP001] parent-side memo
+        del _RECORDINGS[mkey]
 
 
 def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
@@ -145,7 +145,7 @@ def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
     # Recording is parent-side only: pool/fabric workers receive scenario
     # traces as shipped bytes and never reach this memo, so the global
     # stays process-local by design.
-    _RECORDINGS[mkey] = traces  # repro: allow[MP001] parent-side memo
+    _RECORDINGS[mkey] = traces
     registry().counter("workload.scenario.recordings").inc()
     registry().counter("workload.scenario.ops").inc(len(schedule))
     return traces

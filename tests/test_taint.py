@@ -6,11 +6,13 @@ machinery CI runs: sources through assignments and containers, across
 function boundaries (returns-tainted and parameter-to-sink), around
 call-graph cycles, and through the unresolved-call passthrough
 over-approximation.  Suppression is tested at the source line (the
-``allow[DET00x]`` comment defuses the source itself) and at the sink
+``allow[TNT001]`` comment defuses the source itself) and at the sink
 via the engine's standard line-level suppression.
 """
 
 import textwrap
+
+import pytest
 
 from repro.analysis import taint
 from repro.analysis.engine import check
@@ -39,6 +41,49 @@ def test_direct_wall_clock_to_hash(tmp_path):
     assert [f.rule for f in findings] == ["TNT001"]
     assert "wall-clock" in findings[0].message
     assert "summary_hash" in findings[0].message
+
+
+#: One expression per source kind the catalogs define, with the kind
+#: the finding must name.
+SOURCES = [
+    ("datetime.datetime.now()", "wall-clock"),
+    ("random.random()", "rng"),
+    ("random.Random()", "rng"),
+    ("random.Random().random()", "rng"),
+    ("os.urandom(8)", "entropy"),
+    ("uuid.uuid4()", "entropy"),
+    ("secrets.token_hex(8)", "entropy"),
+    ("os.getpid()", "pid"),
+    ("os.environ['HOME']", "env"),
+    ("os.getenv('HOME')", "env"),
+]
+
+
+@pytest.mark.parametrize("expr, kind", SOURCES)
+def test_every_catalog_source_reaches_hash(tmp_path, expr, kind):
+    findings = solve_source(tmp_path, f"""
+        import datetime, os, random, secrets, uuid
+        from repro.obs.report import summary_hash
+
+        def report(results):
+            return summary_hash({{"r": results, "t": {expr}}})
+    """)
+    assert [f.rule for f in findings] == ["TNT001"]
+    assert f"{kind} source" in findings[0].message
+    assert "summary_hash" in findings[0].message
+
+
+def test_draw_from_unseeded_instance_keeps_its_taint(tmp_path):
+    findings = solve_source(tmp_path, """
+        import random
+        from repro.obs.report import summary_hash
+
+        def report(results):
+            rng = random.Random()
+            return summary_hash({"r": results, "draw": rng.random()})
+    """)
+    assert [f.rule for f in findings] == ["TNT001"]
+    assert "rng source" in findings[0].message
 
 
 def test_return_flow_through_helper(tmp_path):
@@ -154,8 +199,35 @@ def test_allow_at_source_defuses_the_flow(tmp_path):
         from repro.obs.report import summary_hash
 
         def report(results):
-            t = time.time()  # repro: allow[DET002] report metadata only
+            t = time.time()  # repro: allow[TNT001] report metadata only
             return summary_hash({"r": results, "t": t})
+    """)
+    assert findings == []
+
+
+def test_retired_rule_allow_defuses_nothing(tmp_path):
+    findings = solve_source(tmp_path, """
+        import time
+        from repro.obs.report import summary_hash
+
+        def report(results):
+            t = time.time()  # repro: allow[DET002] retired rule id
+            return summary_hash({"r": results, "t": t})
+    """)
+    assert [f.rule for f in findings] == ["TNT001"]
+
+
+def test_allow_at_sink_stops_parameter_flows(tmp_path):
+    findings = solve_source(tmp_path, """
+        import os
+        from repro.obs.report import summary_hash
+
+        def publish(payload):
+            # repro: allow[TNT001] callers hash pids on purpose here
+            return summary_hash(payload)
+
+        def report():
+            return publish({"pid": os.getpid()})
     """)
     assert findings == []
 
@@ -174,12 +246,12 @@ def test_allow_at_sink_is_the_engine_edge(tmp_path):
             # repro: allow[TNT001] timestamp hashed on purpose here
             return summary_hash({"r": results, "t": t})
     """))
-    result = check([str(tmp_path)], use_baseline=False, select=["TNT"])
+    result = check([str(tmp_path)], select=["TNT"])
     assert result.findings == []
     assert result.suppressed >= 1
 
     (proj / "mod.py").write_text(
         (proj / "mod.py").read_text().replace(
             "# repro: allow[TNT001] timestamp hashed on purpose here", ""))
-    result = check([str(tmp_path)], use_baseline=False, select=["TNT"])
+    result = check([str(tmp_path)], select=["TNT"])
     assert [f.rule for f in result.findings] == ["TNT001"]
