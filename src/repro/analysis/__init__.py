@@ -1,27 +1,24 @@
 """repro.analysis -- repo-aware static analysis for the simulator.
 
-The paper's numbers rest on bit-exact, deterministic simulation and on
-fast replay kernels that mutate exactly the state the scalar oracle
-mutates.  This package checks both statically, run as ``python -m
+The paper's numbers rest on bit-exact, deterministic simulation.  This
+package checks the determinism half statically, run as ``python -m
 repro.analysis check src/`` (blocking in CI) or through the library API
-below.  Two rule families, each kept because it has caught a real bug:
+below.  It has one rule, kept because it has caught a real bug:
 
-* ``KRN`` -- kernel state-equivalence: the fast replay paths' transitive
-  effect summaries vs the scalar oracle (:mod:`repro.analysis.effects`)
-* ``TNT`` -- interprocedural determinism taint: nondeterministic sources
-  flowing to result-affecting sinks (:mod:`repro.analysis.taint`)
+* ``TNT001`` -- interprocedural determinism taint: nondeterministic
+  sources flowing to result-affecting sinks (:mod:`repro.analysis.taint`)
+  over the import-resolving call graph (:mod:`repro.analysis.callgraph`).
 
-The whole-program core under both -- the import-resolving call graph
-(:mod:`repro.analysis.callgraph`) and per-function effect summaries -- is
-also queryable directly via the ``effects`` and ``graph`` CLI commands.
+The other half, the fast replay kernels' bit-identity with the scalar
+oracle, is checked at runtime by the tier-1 suite (``tests/test_batch.py``
+runs every kernel on adversarial traces).
 
 Findings are silenced inline only: ``# repro: allow[RULE] why`` on the
 offending line or the line above it.
 """
 
 from repro.analysis.engine import (CheckResult, analyze_file, check,
-                                   collect_files, gather_facts,
-                                   rule_catalogue)
+                                   collect_files, rule_catalogue)
 from repro.analysis.model import FileModel, Finding
 from repro.analysis.reporters import json_report, text_report
 
@@ -32,7 +29,6 @@ __all__ = [
     "analyze_file",
     "check",
     "collect_files",
-    "gather_facts",
     "json_report",
     "rule_catalogue",
     "text_report",

@@ -1,8 +1,7 @@
 """Import-resolving call graph over the analyzed tree.
 
-The whole-program rules (the effect-summary engine in
-:mod:`repro.analysis.effects`, the taint engine in
-:mod:`repro.analysis.taint`) both need the same two ingredients:
+The whole-program taint engine (:mod:`repro.analysis.taint`) needs two
+ingredients:
 
 * a per-file :class:`Resolver` that turns a name/attribute chain into a
   fully-qualified dotted name by walking the module's imports (``from
@@ -14,8 +13,8 @@ The whole-program rules (the effect-summary engine in
   unknown receiver) *every* class method of that name in the tree: the
   documented over-approximation fallback.
 
-The graph is deterministic: nodes and edges sort, and resolution prefers
-exact matches over suffix matches over dynamic fans.
+Resolution is deterministic: candidates sort, and exact matches win
+over suffix matches over dynamic fans.
 """
 
 import ast
@@ -113,23 +112,3 @@ class CallGraph:
             tail = ".".join(target.split(".")[-2:])
             return sorted(self._suffix.get(tail, []))
         return []
-
-    def roots_matching(self, suffix):
-        """Graph nodes whose qualname ends with ``suffix`` (sorted)."""
-        out = [q for q in self.nodes
-               if q == suffix or q.endswith("." + suffix)]
-        return sorted(out)
-
-    def edges(self, calls_of):
-        """``{qual: sorted set of resolved callee quals}`` for the graph.
-
-        ``calls_of(info)`` extracts the raw target list from a node's
-        fact dict (the extractors store them under different keys).
-        """
-        out = {}
-        for qual, info in self.nodes.items():
-            seen = set()
-            for target in calls_of(info):
-                seen.update(self.resolve(target))
-            out[qual] = sorted(seen)
-        return out

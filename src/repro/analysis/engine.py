@@ -1,14 +1,11 @@
 """The analysis engine: file collection, parallel per-file pass, project
 pass, and inline suppression.
 
-Every rule is a project rule: it needs the whole program.  The per-file
-pass parses one file and returns picklable *facts* -- two fragments per
-file, keyed ``"fx"`` (effect summaries for the kernel state-equivalence
-rules) and ``"tn"`` (taint sources/calls/sinks for the interprocedural
-determinism rule) -- plus the file's suppression map, and the parent
-joins them: the same split the sweep engine uses for simulation (workers
-produce, parent merges).  A project rule declares which fragment it
-consumes via its ``facts_key`` attribute.
+The one rule, TNT001, needs the whole program.  The per-file pass parses
+one file and returns its picklable taint *facts* (sources, calls and
+sinks per function) plus the file's suppression map, and the parent
+joins them in one interprocedural solve: the same split the sweep engine
+uses for simulation (workers produce, parent merges).
 
 Everything is deterministic: files sort before dispatch, findings sort
 before reporting, and the worker pass is a pure function of file content.
@@ -18,10 +15,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.analysis import effects, taint
+from repro.analysis import taint
 from repro.analysis.model import FileModel, Finding
-
-PROJECT_RULES = list(effects.PROJECT_RULES) + list(taint.PROJECT_RULES)
 
 #: Directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".trace-store", "build", "dist"}
@@ -31,14 +26,20 @@ _PARALLEL_THRESHOLD = 8
 
 
 def rule_catalogue():
-    """``(id, title)`` for every registered rule, sorted by id."""
-    return sorted(pair for rule in PROJECT_RULES for pair in rule.catalogue)
+    """``(id, title)`` for every rule, sorted by id."""
+    return [(taint.RULE_ID, taint.RULE_TITLE)]
 
 
 def collect_files(paths):
-    """All ``.py`` files under ``paths``, absolute and sorted."""
+    """All ``.py`` files under ``paths``, absolute and sorted.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist, so
+    a mistyped path fails loudly instead of checking nothing.
+    """
     out = set()
     for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(path)
         path = os.path.abspath(path)
         if os.path.isfile(path):
             if path.endswith(".py"):
@@ -58,11 +59,11 @@ def collect_files(paths):
 def analyze_file(path):
     """The per-file pass: ``(findings, facts, suppressions)``.
 
-    ``facts`` is the dict of project-rule fragments (``"fx"``, ``"tn"``),
-    or ``None`` for an unparseable file.  Pure function of the file's
-    content -- safe to run in a pool worker.  Unparseable files yield a
-    single ``PARSE`` finding so a syntax error fails the check instead of
-    silently shrinking its coverage.
+    ``facts`` is the file's taint fragment, or ``None`` for an
+    unparseable file.  Pure function of the file's content -- safe to
+    run in a pool worker.  Unparseable files yield a single ``PARSE``
+    finding so a syntax error fails the check instead of silently
+    shrinking its coverage.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -74,11 +75,7 @@ def analyze_file(path):
                          line=line, col=0,
                          message=f"file could not be analyzed: {exc}")],
                 None, {})
-    facts = {
-        "fx": effects.collect_facts(model),
-        "tn": taint.collect_facts(model),
-    }
-    return [], facts, model.suppressions
+    return [], taint.collect_facts(model), model.suppressions
 
 
 def _run_files(files, *, jobs=None):
@@ -91,17 +88,6 @@ def _run_files(files, *, jobs=None):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(analyze_file, files))
     return [analyze_file(path) for path in files]
-
-
-def gather_facts(paths, *, jobs=None):
-    """``(files, facts_list)`` for the fact-dump commands (effects/graph).
-
-    Unparseable files are skipped (they carry no facts); the ``check``
-    command is where parse errors become findings.
-    """
-    files = collect_files(paths)
-    facts = [r[1] for r in _run_files(files, jobs=jobs) if r[1] is not None]
-    return files, facts
 
 
 @dataclass
@@ -128,11 +114,10 @@ def _is_suppressed(finding, suppressions_by_path):
     return False
 
 
-def check(paths, *, jobs=None, select=None):
+def check(paths, *, jobs=None):
     """Analyze ``paths`` and return a :class:`CheckResult`.
 
-    ``jobs=None`` picks serial vs pooled automatically; ``select`` keeps
-    only findings whose rule id starts with one of the given prefixes.
+    ``jobs=None`` picks serial vs pooled automatically.
     """
     files = collect_files(paths)
     findings = []
@@ -146,17 +131,12 @@ def check(paths, *, jobs=None, select=None):
         suppressions_by_path[path] = suppressions
 
     n_suppressed = 0
-    for rule in PROJECT_RULES:
-        rule_facts = [f[rule.facts_key] for f in all_facts]
-        for finding in rule.check_project(rule_facts):
-            if _is_suppressed(finding, suppressions_by_path):
-                n_suppressed += 1
-            else:
-                findings.append(finding)
+    for finding in taint.solve(all_facts):
+        if _is_suppressed(finding, suppressions_by_path):
+            n_suppressed += 1
+        else:
+            findings.append(finding)
 
-    if select:
-        prefixes = tuple(select)
-        findings = [f for f in findings if f.rule.startswith(prefixes)]
     findings.sort(key=lambda f: f.sort_key())
     return CheckResult(findings=findings, suppressed=n_suppressed,
                        files_checked=len(files))

@@ -2,9 +2,8 @@
 
 A :class:`FileModel` is one parsed source file plus everything a rule needs
 to judge it: the AST, the raw lines, the ``# repro: allow[RULE]``
-suppression map, the ``# repro: oracle-covered[ATOM]`` contract map, and
-the file's dotted module name (derived from the ``__init__.py`` chain, so
-the checker needs no import machinery).  A :class:`Finding` is one rule
+suppression map, and the file's dotted module name (derived from the
+``__init__.py`` chain, so the checker needs no import machinery).  A :class:`Finding` is one rule
 violation, carrying the stripped source line it fired on.
 """
 
@@ -13,20 +12,11 @@ import os
 import re
 from dataclasses import asdict, dataclass
 
-#: Inline suppression: ``# repro: allow[TNT001]`` or ``allow[TNT001,KRN002]``,
+#: Inline suppression: ``# repro: allow[TNT001]`` or ``allow[*]``,
 #: optionally followed by a justification.  A suppression applies to
 #: findings on its own line and on the line directly below it, so it can
 #: trail the offending statement or sit on its own line above it.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s*]+)\]")
-
-#: Kernel-equivalence contract: ``# repro: oracle-covered[l2.sets]`` (or
-#: ``oracle-covered[l2.sets:append]``, or ``oracle-covered[*]``) on a
-#: mutation site -- or the line directly above it -- declares that the
-#: fast-path write to that oracle-state atom is deliberate and proven
-#: equivalent to the scalar oracle (by the bit-identity suite).  The
-#: kernel state-equivalence rule (KRN002) treats covered sites as
-#: contract-bound instead of divergent.
-_COVER_RE = re.compile(r"#\s*repro:\s*oracle-covered\[([A-Za-z0-9_.:,\s*-]+)\]")
 
 
 @dataclass
@@ -78,21 +68,6 @@ def parse_suppressions(lines):
     return out
 
 
-def parse_coverage(lines):
-    """``{line_number: set_of_atoms}`` for every oracle-covered comment.
-
-    Atoms are state names (``l2.sets``), optionally op-qualified
-    (``l2.sets:append``); ``*`` covers everything on that line.
-    """
-    out = {}
-    for i, text in enumerate(lines, start=1):
-        m = _COVER_RE.search(text)
-        if m:
-            atoms = {a.strip() for a in m.group(1).split(",") if a.strip()}
-            out.setdefault(i, set()).update(atoms)
-    return out
-
-
 class FileModel:
     """One analyzed source file (see module docstring)."""
 
@@ -102,7 +77,6 @@ class FileModel:
         self.module = module_name(path)
         self.tree = ast.parse(text, filename=path)
         self.suppressions = parse_suppressions(self.lines)
-        self.coverage = parse_coverage(self.lines)
 
     # -- helpers for rules -------------------------------------------------
 
@@ -111,16 +85,6 @@ class FileModel:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-    def is_covered(self, lineno, atom, op):
-        """Whether an oracle-covered comment on ``lineno`` (or the line
-        above it) names ``atom`` (optionally ``atom:op``) or ``*``."""
-        for ln in (lineno, lineno - 1):
-            atoms = self.coverage.get(ln)
-            if atoms and ("*" in atoms or atom in atoms
-                          or f"{atom}:{op}" in atoms):
-                return True
-        return False
 
 
 def dotted_chain(node):

@@ -35,12 +35,12 @@ predicates only grow.
 
 import ast
 
-from repro.analysis import effects
 from repro.analysis.callgraph import DYN_PREFIX, CallGraph, Resolver, \
     iter_functions
 from repro.analysis.model import Finding, dotted_chain, resolve_relative
 
 RULE_ID = "TNT001"
+RULE_TITLE = "nondeterministic source flows to a result-affecting sink"
 
 #: Allow-comment ids that defuse a source or a sink at its own line.
 _ALLOW = {RULE_ID, "*"}
@@ -90,6 +90,17 @@ _ENV_CALLS = {"os.getenv", "os.environ.get", "os.environ.items",
 #: taints the receiver (the container now *contains* the taint).
 _CONTAINER_MUT = {"append", "appendleft", "add", "insert", "extend",
                   "update", "setdefault", "push"}
+
+#: Method names too common to dynamic-dispatch on: a ``.get()`` or
+#: ``.append()`` on an unknown receiver is a container operation, not a
+#: call into analyzed code.
+DYN_NOISE = {
+    "append", "appendleft", "add", "insert", "remove", "discard", "pop",
+    "popleft", "popitem", "clear", "update", "setdefault", "extend",
+    "get", "keys", "values", "items", "copy", "count", "index", "sort",
+    "join", "split", "strip", "format", "encode", "decode", "startswith",
+    "endswith", "read", "write", "flush", "close", "bit_length",
+}
 
 
 def _is_set_expr(node, set_names):
@@ -292,7 +303,7 @@ class _FunctionTaint:
         # not fan to every analyzed ``get`` method.
         target = resolved or ""
         if not target and isinstance(func, ast.Attribute) \
-                and func.attr not in effects.DYN_NOISE \
+                and func.attr not in DYN_NOISE \
                 and not func.attr.startswith("__"):
             target = DYN_PREFIX + func.attr
         return (self._record_call(target, node.lineno, arg_tokens, extra)
@@ -725,18 +736,3 @@ class _Solver:
 def solve(tn_list):
     """Run the interprocedural taint solve; returns sorted findings."""
     return _Solver(tn_list).solve().findings()
-
-
-class TaintFlowRule:
-    """TNT001 -- a project rule over the per-file taint fragments."""
-
-    catalogue = (
-        (RULE_ID, "nondeterministic source flows to a result-affecting sink"),
-    )
-    facts_key = "tn"
-
-    def check_project(self, tn_list):
-        return solve(tn_list)
-
-
-PROJECT_RULES = [TaintFlowRule()]

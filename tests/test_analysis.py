@@ -1,17 +1,18 @@
 """Tests for the static-analysis pass (repro.analysis).
 
 Two layers: machinery tests (suppressions, reporters, engine), and the
-self-check -- the shipped rules must find zero issues in the shipped
+self-check -- the shipped rule must find zero issues in the shipped
 ``src/`` tree, which is exactly what the blocking CI job asserts.  The
-rules themselves are tested in ``test_effects.py``/``test_kernel_equiv.py``
-(KRN) and ``test_taint.py`` (TNT).
+rule itself (TNT001) is tested in ``test_taint.py``.
 """
 
+import json
 import os
 import re
 import textwrap
 import tokenize
 
+from repro.analysis.__main__ import main
 from repro.analysis.engine import (analyze_file, check, collect_files,
                                    rule_catalogue)
 from repro.analysis.model import Finding, module_name
@@ -51,10 +52,11 @@ def test_inline_suppression_silences_only_named_rule(tmp_path):
 
 def test_suppression_comments_name_live_rules():
     """Every ``# repro:`` comment in src/ and scripts/ is live: an
-    ``allow[...]`` names catalogued rule ids (or ``*``), an
-    ``oracle-covered[...]`` needs KRN002 (its only reader), and no other
-    directive exists -- a marker left behind by a deleted rule fails
-    here instead of lingering as dead text."""
+    ``allow[...]`` names catalogued rule ids (or ``*``), and no other
+    directive exists -- a marker left behind by a deleted rule (such as
+    a kernel-equivalence ``oracle-covered[...]`` contract) fails here
+    instead of lingering as dead text."""
+    assert [rule_id for rule_id, _ in rule_catalogue()] == ["TNT001"]
     live = {rule_id for rule_id, _ in rule_catalogue()} | {"*"}
     directive = re.compile(r"#\s*repro:\s*([\w-]+)(?:\[([^\]]*)\])?")
     stale = []
@@ -68,11 +70,7 @@ def test_suppression_comments_name_live_rules():
                 continue
             kind, body = m.groups()
             ids = {r.strip() for r in (body or "").split(",") if r.strip()}
-            if kind == "allow":
-                ok = bool(ids) and ids <= live
-            else:
-                ok = kind == "oracle-covered" and "KRN002" in live
-            if not ok:
+            if not (kind == "allow" and ids and ids <= live):
                 stale.append(f"{os.path.relpath(path, REPO_ROOT)}:"
                              f"{tok.start[0]}: {tok.string.strip()}")
     assert stale == []
@@ -104,6 +102,25 @@ def test_text_report_is_compiler_style(tmp_path):
     out = text_report([f], root=str(tmp_path))
     assert out.splitlines()[0] == "x.py:4:8: TNT001 tainted"
     assert "1 finding" in out.splitlines()[-1]
+
+
+def test_cli_json_report_names_the_one_rule(tmp_path, capsys):
+    mod = tmp_path / "mod.py"
+    mod.write_text(textwrap.dedent(_HASH_OF_CLOCK))
+    assert main(["check", "--format", "json", str(mod)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["rules"] == ["TNT001"]
+    assert [f["rule"] for f in report["findings"]] == ["TNT001"]
+
+
+def test_missing_path_is_a_usage_error(tmp_path, capsys):
+    """A mistyped path must not pass vacuously with ``0 findings``."""
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    missing = str(tmp_path / "no_such_dir")
+    assert main(["check", str(tmp_path), missing]) == 2
+    captured = capsys.readouterr()
+    assert missing in captured.err
+    assert "findings" not in captured.out
 
 
 # -- engine ------------------------------------------------------------------
@@ -160,9 +177,7 @@ def test_injected_violation_fails_the_check(tmp_path):
     shadow.mkdir(parents=True)
     text = open(src, encoding="utf-8").read()
     (shadow / "interleave.py").write_text(text)
-    # Alone, the module lacks its callees' effects (KRN is whole-program),
-    # so only the taint rule is asserted on the shadow copy.
-    assert check([str(shadow / "interleave.py")], select=["TNT"]).ok
+    assert check([str(shadow / "interleave.py")]).ok
 
     counter = 'reg.counter(f"interleave.{mode}.events").inc(events)'
     assert counter in text
@@ -172,6 +187,6 @@ def test_injected_violation_fails_the_check(tmp_path):
         "inc(events)", "inc(events + int(_wall()))"), 1)
     (shadow / "interleave.py").write_text(text)
     line = text[:text.index("int(_wall())")].count("\n") + 1
-    result = check([str(shadow / "interleave.py")], select=["TNT"])
+    result = check([str(shadow / "interleave.py")])
     assert [(f.rule, f.line) for f in result.findings] == [("TNT001", line)]
     assert "wall-clock" in result.findings[0].message
