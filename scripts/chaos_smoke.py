@@ -1,17 +1,15 @@
 """CI chaos smoke: a sweep under injected faults must match serial.
 
-Four acts over the same four-point line-size sweep:
+Three acts over line-size sweeps on ``repro-sweep-worker`` workers:
 
-1. a clean ``--backend workers`` run is bit-identical to the in-process
-   run (and the lease ledger ends compacted, with no leases left);
-2. a run on the process pool with an injected worker raise, crash,
-   garbage result and hang is bit-identical, and each recovery path
-   provably fired;
-3. a ``--backend workers`` run under every worker-targeted fault kind at
-   once -- a worker kill, a corrupt result frame, a heartbeat stall --
-   plus a randomized-but-seeded chaos schedule on top, is *still*
-   bit-identical, and each recovery path provably fired;
-4. a run interrupted mid-sweep (SIGINT) resumes from the lease ledger:
+1. a clean four-point run is bit-identical to the in-process run,
+   replaces no worker, and leaves the lease ledger compacted, with no
+   leases left;
+2. an eight-point run under every fault kind at once -- a raise, a
+   worker crash, a garbage result, a hang, a corrupt result frame, a
+   heartbeat stall -- plus a randomized-but-seeded chaos schedule on top,
+   is *still* bit-identical, and each recovery path provably fired;
+3. a run interrupted mid-sweep (SIGINT) resumes from the lease ledger:
    the in-flight point is re-queued exactly once and the final results
    are bit-identical again.
 
@@ -30,11 +28,11 @@ import textwrap
 import time
 
 
-def _points():
+def _points(n_procs=4):
     from repro.core.sweep import SweepPoint
 
     return [
-        SweepPoint(key=("Q6", line), qid="Q6",
+        SweepPoint(key=("Q6", line, n_procs), qid="Q6", n_procs=n_procs,
                    machine={"l1_line": line // 2, "l2_line": line})
         for line in (16, 32, 64, 128)
     ]
@@ -48,49 +46,24 @@ def _fail(msg):
 def _clean_run(serial, ckpt):
     from repro.core import RunConfig
     from repro.core.ledger import LeaseLedger
-    from repro.core.sweep import clear_variant_cache, run_sweep
-
-    clear_variant_cache()
-    got = run_sweep(_points(), scale="tiny",
-                    config=RunConfig(backend="workers", workers=4,
-                                     checkpoint_dir=ckpt, lease_ttl=20.0))
-    if got != serial:
-        return _fail("clean workers-backend sweep diverged from serial")
-    with LeaseLedger(ckpt) as ledger:
-        if len(ledger.completed) != len(serial) or ledger.leases:
-            return _fail(f"ledger not settled: {len(ledger.completed)} "
-                         f"completed, {len(ledger.leases)} leases")
-    print("chaos smoke 1/4 OK: clean workers backend == serial")
-    return 0
-
-
-def _pool_run(serial):
-    from repro.core import RunConfig
-    from repro.core.faults import ENV_VAR
     from repro.core.sweep import (
         clear_variant_cache, run_sweep, supervisor_stats,
     )
 
     clear_variant_cache()
-    before = supervisor_stats()
-    # Multi-attempt budgets (*N) keep each fault deterministic even though
-    # the crash-induced pool breakage charges every in-flight point an
-    # attempt: the fault still fires once the point actually runs.
-    os.environ[ENV_VAR] = "raise@0*2,crash@1,garbage@2*3,hang@3*2"
-    try:
-        got = run_sweep(_points(), scale="tiny",
-                        config=RunConfig(jobs=4, point_timeout=5.0))
-    finally:
-        del os.environ[ENV_VAR]
+    before = supervisor_stats()["respawns"]
+    got = run_sweep(_points(), scale="tiny",
+                    config=RunConfig(jobs=4, checkpoint_dir=ckpt,
+                                     lease_ttl=20.0))
     if got != serial:
-        return _fail("faulted pool sweep diverged from serial")
-    stats = supervisor_stats()
-    for counter in ("retries", "respawns", "timeouts", "garbage"):
-        if stats[counter] <= before[counter]:
-            return _fail(f"expected the {counter!r} recovery path to fire: "
-                         f"{stats}")
-    print(f"chaos smoke 2/4 OK: crash + hang + raise + garbage on the pool "
-          f"== serial, {stats}")
+        return _fail("clean sweep on workers diverged from serial")
+    if supervisor_stats()["respawns"] != before:
+        return _fail("a clean sweep replaced a worker")
+    with LeaseLedger(ckpt) as ledger:
+        if len(ledger.completed) != len(got) or ledger.leases:
+            return _fail(f"ledger not settled: {len(ledger.completed)} "
+                         f"completed, {len(ledger.leases)} leases")
+    print("chaos smoke 1/3 OK: clean workers == serial")
     return 0
 
 
@@ -98,28 +71,34 @@ def _chaos_run(serial, ckpt, seed):
     from repro.core import RunConfig
     from repro.core.backend import fabric_stats
     from repro.core.faults import ENV_VAR
-    from repro.core.sweep import clear_variant_cache, run_sweep
+    from repro.core.sweep import (
+        clear_variant_cache, run_sweep, supervisor_stats,
+    )
 
     clear_variant_cache()
-    before = fabric_stats()
-    # Every worker-fabric failure mode pinned on a point each, seeded
-    # chaos covering whatever coordinates the retries add on top.
-    os.environ[ENV_VAR] = f"crash@0,wcorrupt@1,wstall@2,chaos@{seed}*30"
+    before = {**supervisor_stats(), **fabric_stats()}
+    # Every compute and worker-fabric failure mode pinned on a point each;
+    # points 3 and 4 are left to the seeded chaos schedule, which also
+    # covers whatever coordinates the retries add on top.
+    os.environ[ENV_VAR] = ("raise@0,crash@1,garbage@2,hang@5,wcorrupt@6,"
+                           f"wstall@7,chaos@{seed}*30")
     try:
-        got = run_sweep(_points(), scale="tiny",
-                        config=RunConfig(backend="workers", workers=4,
-                                         checkpoint_dir=ckpt,
-                                         lease_ttl=4.0, retries=3))
+        got = run_sweep(_points() + _points(n_procs=2), scale="tiny",
+                        config=RunConfig(jobs=4, checkpoint_dir=ckpt,
+                                         point_timeout=5.0, lease_ttl=4.0,
+                                         retries=3))
     finally:
         del os.environ[ENV_VAR]
     if got != serial:
         return _fail(f"chaos sweep (seed {seed}) diverged from serial")
-    stats = fabric_stats()
-    for counter in ("deaths", "corrupt_frames", "stale"):
+    stats = {**supervisor_stats(), **fabric_stats()}
+    for counter in ("retries", "respawns", "timeouts", "garbage", "deaths",
+                    "corrupt_frames", "stale"):
         if stats[counter] <= before[counter]:
             return _fail(f"expected the {counter!r} recovery path to fire: "
                          f"{stats}")
-    print(f"chaos smoke 3/4 OK: seeded chaos (seed {seed}) == serial, "
+    print(f"chaos smoke 2/3 OK: crash + hang + raise + garbage + corrupt "
+          f"frame + heartbeat stall + seeded chaos (seed {seed}) == serial, "
           f"{stats}")
     return 0
 
@@ -132,13 +111,12 @@ _INTERRUPT_PROG = textwrap.dedent("""
     # A heartbeat stall keeps the sweep alive long enough to interrupt,
     # and leaves that point claimed-but-never-completed in the ledger.
     os.environ[ENV_VAR] = "wstall@3"
-    points = [SweepPoint(key=("Q6", line), qid="Q6",
+    points = [SweepPoint(key=("Q6", line, 4), qid="Q6",
                          machine={"l1_line": line // 2, "l2_line": line})
               for line in (16, 32, 64, 128)]
     print("SWEEPING", flush=True)
     run_sweep(points, scale="tiny",
-              config=RunConfig(backend="workers", workers=2,
-                               checkpoint_dir=os.environ["CKPT"],
+              config=RunConfig(jobs=2, checkpoint_dir=os.environ["CKPT"],
                                lease_ttl=60.0))
 """)
 
@@ -165,8 +143,8 @@ def _interrupt_and_resume(serial, ckpt):
     before = supervisor_stats()
     clear_variant_cache()
     got = run_sweep(_points(), scale="tiny",
-                    config=RunConfig(backend="workers", workers=2,
-                                     checkpoint_dir=ckpt, lease_ttl=20.0))
+                    config=RunConfig(jobs=2, checkpoint_dir=ckpt,
+                                     lease_ttl=20.0))
     stats = supervisor_stats()
     if got != serial:
         return _fail("resumed sweep diverged from serial")
@@ -180,14 +158,14 @@ def _interrupt_and_resume(serial, ckpt):
     # Exactly once: a further resume finds everything completed.
     clear_variant_cache()
     again = run_sweep(_points(), scale="tiny",
-                      config=RunConfig(backend="workers", workers=2,
-                                       checkpoint_dir=ckpt, lease_ttl=20.0))
+                      config=RunConfig(jobs=2, checkpoint_dir=ckpt,
+                                       lease_ttl=20.0))
     final = supervisor_stats()
     if again != serial:
         return _fail("second resume diverged from serial")
     if final["requeued"] != stats["requeued"]:
         return _fail("a reclaimed lease was re-queued twice")
-    print(f"chaos smoke 4/4 OK: SIGINT resume == serial "
+    print(f"chaos smoke 3/3 OK: SIGINT resume == serial "
           f"(resumed={resumed} requeued={requeued})")
     return 0
 
@@ -196,24 +174,22 @@ def main():
     from repro.core.sweep import run_sweep
 
     seed = int(os.environ.get("CHAOS_SEED", "42"))
-    serial = run_sweep(_points(), scale="tiny", jobs=1)
+    serial = run_sweep(_points() + _points(n_procs=2), scale="tiny", jobs=1)
+    serial4 = {p.key: serial[p.key] for p in _points()}
 
     with tempfile.TemporaryDirectory() as d:
-        rc = _clean_run(serial, os.path.join(d, "clean"))
+        rc = _clean_run(serial4, os.path.join(d, "clean"))
         if rc:
             return rc
-    rc = _pool_run(serial)
-    if rc:
-        return rc
     with tempfile.TemporaryDirectory() as d:
         rc = _chaos_run(serial, os.path.join(d, "chaos"), seed)
         if rc:
             return rc
     with tempfile.TemporaryDirectory() as d:
-        rc = _interrupt_and_resume(serial, os.path.join(d, "resume"))
+        rc = _interrupt_and_resume(serial4, os.path.join(d, "resume"))
         if rc:
             return rc
-    print("chaos smoke OK: all four acts bit-identical to serial")
+    print("chaos smoke OK: all three acts bit-identical to serial")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Sweep execution: one supervisor over two transports.
+"""Sweep execution: one supervisor over ``repro-sweep-worker`` subprocesses.
 
 :func:`repro.core.sweep.run_sweep` computes *what* must run (the memo and
 ledger misses); this module runs it when more than one process is wanted.
@@ -7,37 +7,32 @@ costs a point (one attempt, exponential backoff, requeue), when a point
 stops being retried (the retry budget is spent, or
 :func:`~repro.core.errors.is_retryable` says retrying is pointless) and
 runs in the parent instead, when a point has hung (the per-point timeout),
-whether a result is a summary at all, how many executors a sweep may spawn
+whether a result is a summary at all, how many workers a sweep may spawn
 before the whole transport is given up on, and what the checkpoint
 directory's lease ledger (:mod:`repro.core.ledger`) records -- claim on
 dispatch, complete on result, abandon on failure, compact at the end.
 Summaries are plain JSON-safe dicts and every point is deterministic, so no
 recovery path can change a result, only its latency.
 
-Beneath it a *transport* owns only what differs between ways of reaching a
-worker process -- ``start(want, budget)``, ``alive``, ``free_slots()``,
-``submit(i, attempt, point)``, ``poll(tick)``, ``kill(i)``, ``close()``
--- and reports what happened to each submitted point as ``(kind, index,
+Beneath it a *transport* owns only how a worker process is reached --
+``start(want, budget)``, ``alive``, ``free_slots()``, ``submit(i,
+attempt, point)``, ``poll(tick)``, ``kill(i)``, ``close()`` -- and
+reports what happened to each submitted point as ``(kind, index,
 payload)`` events: ``result`` (the returned object), ``error`` (the worker
 raised; the exception), ``lost`` (the transport lost the point: an
 exception to charge it with, or ``None`` for collateral that retries
-free).
-
-``pool`` (:class:`PoolTransport`)
-    a ``spawn`` ``ProcessPoolExecutor``; traces ship as encoded bytes
-    through the pool initializer.  A dead worker breaks the whole pool
-    (every in-flight point is lost and charged -- the culprit is
-    unknowable), and a kill tears the pool down (the other in-flight
-    points are lost uncharged).
-``workers`` (:class:`WorkerTransport`)
-    ``repro-sweep-worker`` subprocesses (:mod:`repro.core.worker`) that
-    speak a length-prefixed JSON protocol over their stdio pipes and fetch
-    traces *by store key* from a spool directory -- nothing bigger than a
-    key crosses the pipe, and no trace array is ever pickled onto it.  A
-    dead worker (EOF), a corrupt frame (CRC mismatch; the stream past the
-    damage is unsynchronized, so the worker is discarded) or heartbeat
-    silence past the lease TTL (a stall or partition, detected with the
-    parent's monotonic clock) loses one point; a kill takes one worker.
+free).  The one transport, :class:`WorkerTransport`, runs
+``repro-sweep-worker`` subprocesses (:mod:`repro.core.worker`) that speak
+a length-prefixed JSON protocol over their stdio pipes and fetch traces
+*by store key* from a spool directory -- nothing bigger than a key crosses
+the pipe, and no trace array is ever pickled onto it.  Workers are fresh
+interpreters running ``python -m repro.core.worker``, so a caller's
+``__main__`` module is never re-imported in them.  A dead worker (EOF), a
+corrupt frame (CRC mismatch; the stream past the damage is
+unsynchronized, so the worker is discarded) or heartbeat silence past the
+lease TTL (a stall or partition, detected with the parent's monotonic
+clock) loses one point; a kill takes one worker.  A worker spawned to
+replace a lost one is a *respawn*.
 
 Frame format (little-endian)::
 
@@ -49,13 +44,12 @@ Parent -> worker ops: ``init``, ``run``, ``shutdown``.
 Worker -> parent ops: ``ready``, ``heartbeat``, ``result``, ``error``.
 
 All of it is deterministic to exercise: :mod:`repro.core.faults` fires
-crashes, hangs, raises and garbage inside either transport's workers by
-``(point index, attempt)`` coordinate, plus the stdio-only kinds
+crashes, hangs, raises and garbage inside the workers by ``(point index,
+attempt)`` coordinate, plus the protocol kinds
 (``wstall``/``wpartition``/``wcorrupt``) and seeded chaos.
 """
 
 import json
-import multiprocessing
 import os
 import selectors
 import shutil
@@ -66,10 +60,6 @@ import tempfile
 import time
 import warnings
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED, BrokenExecutor, CancelledError, ProcessPoolExecutor,
-    wait as _futures_wait,
-)
 
 from repro.core.errors import (
     InvalidPointResult, LeaseExpired, PointFailure, PointTimeout,
@@ -77,13 +67,10 @@ from repro.core.errors import (
 )
 from repro.core.sweep import (
     _POINT_SECONDS_BUCKETS, _needed_traces, _point_cache_key, _store_keys,
-    _sup_count, _trace_for, _valid_summary, run_point, simulate_point,
+    _sup_count, _trace_for, _valid_summary, run_point,
 )
-from repro.core.tracestore import (
-    decode_trace, encode_trace, get_strict, save_trace, set_strict,
-    trace_filename,
-)
-from repro.memsim.batch import default_kernel, set_default_kernel
+from repro.core.tracestore import get_strict, save_trace, trace_filename
+from repro.memsim.batch import default_kernel
 from repro.obs import events as obs_events
 from repro.obs.metrics import registry
 from repro.obs.spans import span
@@ -169,230 +156,17 @@ class FrameBuffer:
 
 def point_to_wire(point):
     """A :class:`~repro.core.sweep.SweepPoint` as a JSON-safe dict."""
-    return {
-        "key": point.key,
-        "qid": point.qid,
-        "machine": dict(point.machine),
-        "n_procs": point.n_procs,
-        "seed_base": point.seed_base,
-        "arena_size": point.arena_size,
-        "placement": point.placement,
-        "lock_check_per_rescan": point.lock_check_per_rescan,
-    }
+    return dict(vars(point), machine=dict(point.machine))
 
 
 def point_from_wire(data):
-    """Rebuild a :class:`~repro.core.sweep.SweepPoint` from the wire dict."""
+    """Rebuild a :class:`~repro.core.sweep.SweepPoint` from the wire dict
+    (JSON turns a tuple key into a list; it is turned back)."""
     from repro.core.sweep import SweepPoint
 
     key = data.get("key")
-    if isinstance(key, list):
-        key = tuple(key)
-    return SweepPoint(
-        key=key,
-        qid=data["qid"],
-        machine=dict(data.get("machine") or {}),
-        n_procs=int(data.get("n_procs", 4)),
-        seed_base=int(data.get("seed_base", 0)),
-        arena_size=data.get("arena_size"),
-        placement=data.get("placement", "shared"),
-        lock_check_per_rescan=bool(data.get("lock_check_per_rescan", True)),
-    )
-
-
-# -- the pool transport ----------------------------------------------------
-
-_WORKER_ARGS = None
-
-#: Traces shipped by the sweep parent: ``store key -> encoded bytes``
-#: (``None`` outside a pool worker), with lazily decoded instances beside
-#: them.  Keeping the bytes and decoding on demand means a worker only
-#: pays for the traces its assigned points actually replay.
-_SHIPPED = None
-_SHIPPED_DECODED = {}
-
-
-def _shipped_trace(tkey):
-    trace = _SHIPPED_DECODED.get(tkey)
-    if trace is None:
-        trace, _ = decode_trace(_SHIPPED[tkey])
-        _SHIPPED_DECODED[tkey] = trace
-    return trace
-
-
-def _worker_init(scale, seed, shipped=None, strict_store=False,
-                 kernel="auto"):
-    global _WORKER_ARGS, _SHIPPED
-    _WORKER_ARGS = (scale, seed)
-    _SHIPPED = shipped
-    if strict_store:
-        set_strict(True)
-    if kernel != "auto":
-        set_default_kernel(kernel)
-
-
-def _worker_task(index, attempt, point):
-    """One pool task: fault-injection hook, then the simulation.
-
-    ``index`` is the point's submission index and ``attempt`` its retry
-    count -- the coordinates :mod:`repro.core.faults` keys injected
-    crashes/hangs/garbage on, so every recovery path is deterministic to
-    exercise.
-    """
-    from repro.core import faults
-
-    garbage = faults.maybe_inject(index, attempt)
-    if garbage is not None:
-        return garbage
-    scale, seed = _WORKER_ARGS
-    return simulate_point(point, scale, [
-        _shipped_trace(tkey) for tkey in _store_keys(point, scale, seed)])
-
-
-def _terminate_pool(pool):
-    """Kill a pool's worker processes outright (hung or broken pool)."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except OSError:
-            pass
-    try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass  # a broken pool may refuse a clean shutdown; workers are dead
-
-
-class PoolTransport:
-    """A ``spawn`` process pool (module docstring).
-
-    One engine execution (or one store load) per unique trace, all in the
-    parent -- workers receive the encoded bytes through the pool
-    initializer and never build a database.  A fresh pool first runs one
-    no-op per worker process, and a slot only counts as free once its
-    no-op is back: points are submitted to processes that have finished
-    starting, so the supervisor's per-point timeout measures the point and
-    not the interpreter start-up before it.
-    """
-
-    name = "pool"
-
-    def __init__(self, todo, scale, seed, config):
-        self.capacity = min(config.jobs, len(todo))
-        with span("encode", points=len(todo)):
-            shipped = {skey: encode_trace(skey, _trace_for(scale, skey))
-                       for skey in _needed_traces(todo, scale, seed)}
-        self._initargs = (scale, seed, shipped, get_strict(),
-                          default_kernel())
-        self._pool = None
-        self._warming = set()
-        self._inflight = {}       # future -> point index
-        self._events = []
-
-    @property
-    def alive(self):
-        return self._pool is not None
-
-    def start(self, want, budget):
-        if self._pool is not None or not want or budget < 1:
-            return 0
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.capacity,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_init, initargs=self._initargs)
-        try:
-            self._warming = {self._pool.submit(os.getpid)
-                             for _ in range(self.capacity)}
-        except Exception as exc:
-            self._teardown(exc)
-        return 1
-
-    def free_slots(self):
-        if self._pool is None:
-            return 0
-        return self.capacity - len(self._inflight) - len(self._warming)
-
-    def submit(self, i, attempt, point):
-        try:
-            fut = self._pool.submit(_worker_task, i, attempt, point)
-        except Exception as exc:
-            # submit also spawns worker processes, so a worker dying while
-            # we are still submitting surfaces here: usually as
-            # BrokenExecutor, but the manager thread tears the queues down
-            # concurrently, so mid-spawn it can be an OSError ("handle is
-            # closed") or ValueError from the half-pickled queue instead.
-            # Same recovery either way.
-            self._events.append(("lost", i, exc))
-            self._teardown(exc)
-            return
-        self._inflight[fut] = i
-
-    def poll(self, tick):
-        futures = list(self._warming) + list(self._inflight)
-        if self._events:
-            pass                      # report what is already known first
-        elif futures:
-            done, _ = _futures_wait(futures, timeout=tick,
-                                    return_when=FIRST_COMPLETED)
-            self._collect(done)
-        elif self._pool is not None:
-            time.sleep(tick)          # every pending point is embargoed
-        events, self._events = self._events, []
-        return events
-
-    def _collect(self, done):
-        broken = None
-        for fut in done:
-            i = self._inflight.pop(fut, None)   # None: a start-up no-op
-            self._warming.discard(fut)
-            try:
-                event = ("result", i, fut.result())
-            except (BrokenExecutor, CancelledError) as exc:
-                # A worker died mid-task.  CancelledError (a BaseException)
-                # appears when the dying pool cancelled the future first.
-                broken = exc
-                event = ("lost", i, exc)
-            except Exception as exc:
-                event = ("error", i, exc)
-            if i is not None:
-                self._events.append(event)
-        if broken is not None:
-            self._teardown(broken)
-
-    def kill(self, i):
-        self._inflight = {f: j for f, j in self._inflight.items() if j != i}
-        self._events = [e for e in self._events if e[1] != i]
-        if self._pool is not None:
-            self._teardown(None)
-
-    def _teardown(self, exc):
-        """Kill the pool and report its in-flight points lost.
-
-        With ``exc`` (pool breakage) every one of them is charged: the
-        culprit is unknowable, and an uncharged requeue would retry a
-        crash-on-attempt-N point at the same attempt forever.  Without (a
-        kill, where the supervisor knows and charges the culprit), the
-        collateral points retry free -- a point that keeps hanging is
-        charged when it times out itself.
-        """
-        self._events.extend(("lost", i, exc)
-                            for i in self._inflight.values())
-        self._inflight = {}
-        self._warming = set()
-        pool, self._pool = self._pool, None
-        with span("pool-respawn"):
-            _terminate_pool(pool)
-        _sup_count("respawns")
-        obs_events.emit("pool.respawn",
-                        cause=type(exc).__name__ if exc else "timeout")
-
-    def close(self):
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if self._inflight or self._warming:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
+    return SweepPoint(**dict(
+        data, key=tuple(key) if isinstance(key, list) else key))
 
 
 # -- the workers transport -------------------------------------------------
@@ -433,7 +207,8 @@ class WorkerTransport:
 
     All state is instance-local (nothing module-global is written), the
     parent's clocks are monotonic, and every worker transition emits an obs
-    event -- ``--progress`` renders the workers' health live.
+    event -- ``--progress`` renders the workers' health live.  At most
+    ``config.jobs`` workers run at once, never more than the points.
     """
 
     name = "workers"
@@ -446,11 +221,12 @@ class WorkerTransport:
         self.todo = todo
         self.scale = scale
         self.seed = seed
-        self.capacity = min(len(todo), config.workers or max(2, config.jobs))
+        self.capacity = min(len(todo), config.jobs)
         self.lease_ttl = float(config.lease_ttl or 30.0)
         self.workers = {}
         self._events = []
         self._next_wid = 0
+        self._lost = 0            # dead workers not yet replaced
         self._spool_traces(config.checkpoint_dir)
         self.sel = selectors.DefaultSelector()
 
@@ -489,7 +265,15 @@ class WorkerTransport:
         missing = min(self.capacity, want) - len(self.workers)
         spawned = max(0, min(missing, budget))
         for _ in range(spawned):
-            self._spawn_one()
+            if not self._lost:
+                self._spawn_one()
+                continue
+            with span("worker-respawn"):
+                wid = self._spawn_one()
+            if wid is not None:
+                self._lost -= 1
+                _sup_count("respawns")
+                obs_events.emit("worker.respawn", worker=wid)
         return spawned
 
     def free_slots(self):
@@ -563,6 +347,7 @@ class WorkerTransport:
     # -- spawning ----------------------------------------------------------
 
     def _spawn_one(self):
+        """Start one worker; its id, or ``None`` if it could not start."""
         import repro
 
         wid = f"w{self._next_wid}"
@@ -580,7 +365,7 @@ class WorkerTransport:
         except OSError as exc:
             obs_events.emit("worker.spawn_failed", worker=wid,
                             error=str(exc))
-            return
+            return None
         w = _WorkerProc(wid, proc)
         try:
             w.send({"op": "init", "worker": wid, "scale": self.scale.name,
@@ -592,12 +377,13 @@ class WorkerTransport:
             obs_events.emit("worker.spawn_failed", worker=wid,
                             error=str(exc))
             w.kill()
-            return
+            return None
         self.workers[wid] = w
         os.set_blocking(proc.stdout.fileno(), False)
         self.sel.register(proc.stdout, selectors.EVENT_READ, w)
         registry().counter("sweep.worker.spawns").inc()
         obs_events.emit("worker.spawn", worker=wid, pid=proc.pid)
+        return wid
 
     # -- event pump --------------------------------------------------------
 
@@ -652,6 +438,7 @@ class WorkerTransport:
         except (KeyError, ValueError):
             pass
         w.kill()
+        self._lost += 1
         registry().counter("sweep.worker.deaths").inc()
         obs_events.emit("worker.dead", worker=w.id, cause=why)
         if w.task is not None:
@@ -684,18 +471,14 @@ class WorkerTransport:
 
 def select_transport(config, n_todo):
     """The transport class for one sweep's ``n_todo`` memo misses, or
-    ``None`` when they run in ``run_sweep``'s own serial loop: ``inproc``,
-    or ``auto``/``pool`` with nothing to fan out."""
-    name = config.backend
-    if name not in ("auto", "inproc", "pool", "workers"):
+    ``None`` when they run in ``run_sweep``'s own serial loop: one job, or
+    one point.  ``config.backend`` is only validated (see
+    :class:`~repro.core.run.RunConfig`)."""
+    if config.backend not in ("auto", "inproc", "pool", "workers"):
         raise ValueError(
-            f"unknown sweep backend {name!r} "
-            "(expected auto, inproc, pool, or workers)")
-    if name == "workers" and n_todo:
-        return WorkerTransport
-    if name != "inproc" and config.jobs > 1 and n_todo > 1:
-        return PoolTransport
-    return None
+            f"unknown sweep backend {config.backend!r} "
+            "(expected one of auto, inproc, pool, workers)")
+    return WorkerTransport if min(n_todo, config.jobs) > 1 else None
 
 
 def _point_failure(point, attempts, exc, timeout=False):
@@ -714,10 +497,8 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
     ``point_timeout``, ``retries``, ``backoff`` and ``lease_ttl``; ``clock``
     times dispatches, backoff embargoes and the per-point timeout.  At most
     ``transport.free_slots()`` points are in flight, dispatched in list
-    order (sweeps are built query-major, so neighbouring points share a
-    trace set and a worker's decoded-trace cache stays hot).  Every
-    recovery decision is made here, once, for both transports -- see the
-    module docstring and EXPERIMENTS.md *Robustness* for the policy table.
+    order.  Every recovery decision is made here, once -- see the module docstring and
+    EXPERIMENTS.md *Robustness* for the policy table.
     """
     n = len(todo)
     ckeys = [_point_cache_key(p, scale, seed) for p in todo]

@@ -78,7 +78,7 @@ class PointFailure(SweepError):
 
     Raised only after bounded worker retries *and* the in-process
     degradation run have all failed; carries the point identity and the
-    original error so the failure is actionable without a pool traceback.
+    original error so the failure is actionable without a worker traceback.
     Not retryable by definition: it is the terminal verdict.
     """
 

@@ -48,7 +48,7 @@ def set_strict_store(strict):
     The ``repro-experiments --strict-store`` switch: default mode treats a
     damaged entry as "not stored" (warn, count, re-record); strict mode
     surfaces it as a :class:`~repro.core.errors.TraceStoreError`.  Sweep
-    workers inherit the setting through the pool initializer.
+    workers inherit the setting through their ``init`` frame.
     """
     from repro.core import tracestore
 

@@ -5,9 +5,9 @@ every failure mode of a parallel sweep reproducible on demand so the tests
 (and the CI smoke job) can prove each recovery path instead of trusting it.
 
 Faults are declared in the ``REPRO_FAULTS`` environment variable -- the
-environment is the one channel that reaches ``spawn`` pool workers without
-touching the task payload -- as a comma-separated list of
-``kind@index`` entries::
+environment is the one channel that reaches ``repro-sweep-worker``
+processes without touching the wire protocol -- as a comma-separated list
+of ``kind@index`` entries::
 
     REPRO_FAULTS="crash@1,hang@3*2,garbage@0"
 
@@ -16,31 +16,31 @@ touching the task payload -- as a comma-separated list of
 
 ``crash``
     the worker process exits hard (``os._exit``), like an OOM kill --
-    exercises ``BrokenProcessPool`` pool respawn;
+    exercises dead-worker detection and the worker respawn;
 ``hang``
     the task sleeps ``REPRO_FAULTS_HANG`` seconds (default 300) --
-    exercises the per-point timeout and pool kill;
+    exercises the per-point timeout and worker kill;
 ``raise``
     the task raises :class:`InjectedFault` -- exercises worker exception
     propagation and retry;
 ``fatal``
     the task raises :class:`InjectedFatal`, which declares itself not
     retryable -- exercises the straight-to-fallback rule and the
-    classification's trip across either transport;
+    classification's trip across the wire;
 ``garbage``
     the task returns a non-summary object -- exercises result validation.
 
 ``*N`` makes a fault fire on the first *N* attempts of that point (default
 1), so a retried point deterministically succeeds -- or keeps failing, to
 exercise the in-process degradation path.  Faults fire only inside worker
-processes (:func:`maybe_inject` is called from the worker task body of
-either transport), never in the supervising parent, so degraded in-process
-execution of a persistently failing point completes.
+processes (:func:`maybe_inject` is called from the worker's point runner),
+never in the supervising parent, so degraded in-process execution of a
+persistently failing point completes.
 
-The ``workers`` transport (:mod:`repro.core.backend`) adds
-*worker-targeted* kinds that attack the stdio protocol instead of the
-computation -- same ``kind@index[*attempts]`` grammar, fired through
-:func:`worker_action` from inside a ``repro-sweep-worker`` process:
+*Worker-targeted* kinds attack the stdio protocol
+(:mod:`repro.core.backend`) instead of the computation -- same
+``kind@index[*attempts]`` grammar, fired through :func:`worker_action`
+from inside a ``repro-sweep-worker`` process:
 
 ``wstall``
     the worker suppresses heartbeats for the point -- exercises lease
@@ -53,10 +53,6 @@ computation -- same ``kind@index[*attempts]`` grammar, fired through
     the worker flips a byte inside its result frame after the checksum is
     computed -- exercises protocol-level damage detection and the
     kill-and-retry path.
-
-The compute kinds fire in ``repro-sweep-worker`` processes too (the
-worker's point runner calls :func:`maybe_inject` like a pool task does),
-so one grammar drives both transports.
 
 Finally, ``chaos@SEED[*PERCENT]`` turns on *seeded randomized chaos*: for
 every ``(point index, attempt)`` not covered by an explicit entry, a
@@ -99,7 +95,7 @@ CHAOS_MENU = ("crash", "raise", "garbage", "wstall", "wcorrupt")
 #: ``*PERCENT`` suffix.
 CHAOS_DEFAULT_PERCENT = 25
 
-#: Exit status of an injected worker crash (visible in pool diagnostics).
+#: Exit status of an injected worker crash.
 CRASH_EXIT_CODE = 13
 
 
@@ -219,7 +215,7 @@ def clear():
 
 def active_plan():
     """The plan in force: an installed one, else ``REPRO_FAULTS`` (memoized
-    per spec string, so env changes between pools are picked up)."""
+    per spec string, so env changes between sweeps are picked up)."""
     global _CACHED_SPEC, _CACHED_PLAN
     if _OVERRIDE is not None:
         return _OVERRIDE
@@ -264,8 +260,7 @@ def worker_action(index, attempt):
 
     Called by ``repro-sweep-worker`` (:mod:`repro.core.worker`) before it
     computes a point: ``wstall`` suppresses heartbeats, ``wpartition``
-    goes silent, ``wcorrupt`` damages the result frame.  Pool workers
-    never call this -- the fabric kinds have no meaning there.
+    goes silent, ``wcorrupt`` damages the result frame.
     """
     plan = active_plan()
     if not plan:

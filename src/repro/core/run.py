@@ -43,13 +43,16 @@ class RunConfig:
     (``auto``/``batched``/``horizon``/``scalar``; see
     :mod:`repro.memsim.batch` and :mod:`repro.memsim.horizon`).
 
-    ``backend`` selects the sweep transport (:mod:`repro.core.backend`):
-    ``auto`` (process pool when ``jobs > 1``, else in-process), ``inproc``,
-    ``pool``, or ``workers`` -- ``repro-sweep-worker`` subprocesses, sized
-    by ``workers`` (``0`` means "derive from jobs").  ``lease_ttl`` is the
-    seconds a claim in the checkpoint directory's ledger
-    (:mod:`repro.core.ledger`) stays exclusive without a heartbeat, and the
-    heartbeat silence after which a ``workers`` subprocess is given up on.
+    A sweep with more than one memo miss fans out over
+    ``repro-sweep-worker`` subprocesses (:mod:`repro.core.backend`), as
+    many as ``jobs`` and never more than the points; a width of one runs
+    in-process.  ``backend`` and ``workers`` are ignored, kept so older
+    callers keep working: ``backend`` is only validated (``auto``,
+    ``inproc``, ``pool`` and ``workers`` are accepted; any other name
+    raises ``ValueError``).
+    ``lease_ttl`` is the seconds a claim in the checkpoint directory's
+    ledger (:mod:`repro.core.ledger`) stays exclusive without a heartbeat,
+    and the heartbeat silence after which a worker is given up on.
     """
 
     scale: str = "small"

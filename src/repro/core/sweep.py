@@ -6,14 +6,14 @@ workload under many machine configurations.  Live execution costs
 ``O(1 engine execution + configs x replay)``, and the replays are
 independent, so they also fan out over worker processes.
 
-A sweep is a list of :class:`SweepPoint` specifications -- picklable and
-JSON-safe, so they can be shipped to workers.  :func:`run_sweep` decides
+A sweep is a list of :class:`SweepPoint` specifications -- JSON-safe, so
+they can be shipped to workers.  :func:`run_sweep` decides
 *what* must run: points already in the per-process memo, or completed in
 the checkpoint directory's lease ledger (:mod:`repro.core.ledger`), are
 answered without simulating.  *How* the rest run is
 :mod:`repro.core.backend`'s business: with ``jobs=1`` (the default) they
 run right here, in the one serial loop, against the shared per-scale
-caches; otherwise one supervisor drives them over a process pool or over
+caches; otherwise one supervisor drives them over
 ``repro-sweep-worker`` subprocesses and absorbs crashed, hung, raising and
 garbage-returning workers.  Results are identical every way, because
 database generation, query parameters and backend transaction ids are all
@@ -209,7 +209,7 @@ def _releasing(points):
     """Yield ``points`` in order, bounding scenario-trace lifetime.
 
     The caller is done with a point when it comes back for the next one
-    (simulated it in-process, or encoded its traces for shipping); once
+    (simulated it in-process, or spooled its traces for the workers); once
     that was the last point naming a scenario, the scenario's traces are
     released.  The policy needs no knob: it is read off the point list.
     """
@@ -252,9 +252,8 @@ def _trace_for(scale, skey):
 def _needed_traces(todo, scale, seed):
     """Yield the store key of every distinct trace ``todo`` replays, once.
 
-    A transport turns each into whatever its workers read (encoded bytes,
-    a spool entry) before asking for the next, so a scenario's traces are
-    released as soon as its last point's keys have been served.
+    The transport spools each before asking for the next, so a scenario's
+    traces are released as soon as its last point's keys have been served.
     """
     seen = set()
     for point in _releasing(todo):
@@ -267,12 +266,11 @@ def _needed_traces(todo, scale, seed):
 def simulate_point(point, scale, traces):
     """Replay ``traces`` under ``point``'s machine; return the summary dict.
 
-    The database-free core of :func:`run_point`, shared with both
-    transports' workers: a caller that already holds the recorded traces
-    (the parent's variant caches, a pool worker decoding shipped bytes, a
-    ``repro-sweep-worker`` loading them by store key from the spool) needs
-    only address-arithmetic NUMA placement and the replay engine -- never
-    a database object.
+    The database-free core of :func:`run_point`, shared with the sweep
+    workers: a caller that already holds the recorded traces (the parent's
+    variant caches, a ``repro-sweep-worker`` loading them by store key from
+    the spool) needs only address-arithmetic NUMA placement and the replay
+    engine -- never a database object.
     """
     from repro.core.experiment import WorkloadResult
 
@@ -319,7 +317,7 @@ def run_point(point, scale, seed=42):
 _SUP_METRICS = {
     "retries": "sweep.point.retries",
     "timeouts": "sweep.point.timeouts",
-    "respawns": "sweep.pool.respawns",
+    "respawns": "sweep.pool.respawns",   # name kept: run reports key on it
     "fallbacks": "sweep.point.fallbacks",
     "garbage": "sweep.point.garbage",
     "resumed": "sweep.point.resumed",
@@ -328,7 +326,7 @@ _SUP_METRICS = {
 
 
 def supervisor_stats():
-    """Recovery-path counters: retries, timeouts, pool respawns, in-process
+    """Recovery-path counters: retries, timeouts, worker respawns, in-process
     fallbacks, rejected garbage results, and ledger-resumed / requeued
     points (views over the ``sweep.*`` registry counters)."""
     reg = registry()
@@ -373,26 +371,26 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
     """Run every sweep point; return ``{point.key: summary}`` in order.
 
     ``config`` is a :class:`~repro.core.run.RunConfig` carrying the run's
-    execution knobs (jobs, backend, checkpoint directory, per-point
-    timeout, retry budget, backoff); omitted, the process-wide
-    configuration (:func:`repro.core.run.configure_run`) applies.  ``jobs``
-    overrides the config's worker count.  ``config.backend`` and ``jobs``
-    pick a transport (:func:`repro.core.backend.select_transport`): none
-    for ``jobs=1``, in which case the memo misses are simulated right here;
-    otherwise the parent prepares every needed trace once (recording, or
-    loading from the persistent store when one is configured) and
-    :func:`repro.core.backend.supervise` drives the misses over the
-    transport's workers, which replay without ever running the database
-    engine.  Results are independent of all of it -- including worker
-    crashes, hangs and retries, which the supervisor absorbs.
+    execution knobs (jobs, checkpoint directory, per-point timeout, retry
+    budget, backoff); omitted, the process-wide configuration
+    (:func:`repro.core.run.configure_run`) applies.  ``jobs`` overrides
+    the config's worker count.  With one job (or one memo miss) the misses
+    are simulated right here; otherwise
+    (:func:`repro.core.backend.select_transport`) the parent spools every
+    needed trace once (recording, or loading from the persistent store
+    when one is configured) and :func:`repro.core.backend.supervise`
+    drives the misses over ``repro-sweep-worker`` subprocesses, which
+    replay without ever running the database engine.  Results are
+    independent of all of it -- including worker crashes, hangs and
+    retries, which the supervisor absorbs.
 
     A configured checkpoint directory makes every completed point durable
-    in its lease ledger (:mod:`repro.core.ledger`) under every backend; a
-    re-run -- under any backend -- loads the ledger and re-simulates only
+    in its lease ledger (:mod:`repro.core.ledger`), serial or parallel; a
+    re-run -- with any ``jobs`` -- loads the ledger and re-simulates only
     unfinished points, bit-identically.
 
     Scenario traces (``scn:`` qids) live as long as the sweep needs them:
-    once the last point naming one is simulated (or shipped), its traces
+    once the last point naming one is simulated (or spooled), its traces
     are dropped from the process (:func:`_releasing`).  Query traces stay
     cached for the sweeps that follow.
     """

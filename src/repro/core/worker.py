@@ -1,6 +1,6 @@
 """``repro-sweep-worker``: one sweep-point executor on the end of a pipe.
 
-The worker half of the ``workers`` transport (:mod:`repro.core.backend`,
+The worker half of the sweep transport (:mod:`repro.core.backend`,
 where the frame format and op set are documented).  The parent sends one
 ``init`` frame (scale, seed, spool directory, heartbeat interval), then
 ``run`` frames one at a time; the worker answers ``ready``, a steady
@@ -18,11 +18,11 @@ the protocol because summaries are JSON-safe by construction.
 stdout is the protocol channel and is written only via :class:`_Output`
 (``os.write`` under a lock, shared with the heartbeat thread); anything
 human-readable goes to stderr.  Fault hooks run before each point:
-compute kinds through :func:`repro.core.faults.maybe_inject` exactly like
-a pool task, stdio kinds through :func:`repro.core.faults.worker_action`
-(``wstall`` suppresses heartbeats past the lease TTL, ``wpartition`` goes
-fully silent, ``wcorrupt`` flips a byte in the result frame after its
-checksum is computed).
+compute kinds through :func:`repro.core.faults.maybe_inject`, stdio kinds
+through :func:`repro.core.faults.worker_action` (``wstall`` suppresses
+heartbeats past the lease TTL, ``wpartition`` goes fully silent,
+``wcorrupt`` flips a byte in the result frame after its checksum is
+computed).
 """
 
 import os

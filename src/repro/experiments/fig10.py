@@ -21,7 +21,7 @@ def run(scale="small", db=None, queries=QUERIES, multipliers=MULTIPLIERS,
         jobs=1):
     """Return per-query, per-size grouped miss counts for L1 and L2.
 
-    Runs on the sweep driver (recorded traces, optional process pool); see
+    Runs on the sweep driver (recorded traces, optional worker processes); see
     :func:`repro.experiments.fig8.run`.
     """
     sc = get_scale(scale)

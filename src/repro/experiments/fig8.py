@@ -21,9 +21,10 @@ def run(scale="small", db=None, queries=QUERIES, line_sizes=LINE_SIZES,
     """Return per-query, per-line-size grouped miss counts for L1 and L2.
 
     Runs on the sweep driver: the workload is recorded once per query and
-    replayed against every line size (``jobs>1`` fans the points out over a
-    process pool).  ``db`` is accepted for compatibility and must be the
-    shared per-scale database the driver rebuilds itself.
+    replayed against every line size (``jobs>1`` fans the points out over
+    ``repro-sweep-worker`` subprocesses).  ``db`` is accepted for
+    compatibility and must be the shared per-scale database the driver
+    rebuilds itself.
     """
     sc = get_scale(scale)
     points = line_size_points(queries, line_sizes)

@@ -21,7 +21,7 @@ def run(scale="small", db=None, queries=QUERIES, line_sizes=LINE_SIZES,
         jobs=1):
     """Return per-query, per-line-size time components (cycles).
 
-    Runs on the sweep driver (recorded traces, optional process pool); see
+    Runs on the sweep driver (recorded traces, optional worker processes); see
     :func:`repro.experiments.fig8.run`.
     """
     sc = get_scale(scale)

@@ -77,8 +77,8 @@ def run(scale="small", jobs=1, update_fracs=UPDATE_FRACS,
     """Sweep the scenario grid; returns ``{(frac, clients, cpus): ...}``.
 
     Runs on the sweep driver like the figure sweeps: scenarios are
-    registered here, recorded in the parent on first use, and shipped to
-    pool/fabric workers as encoded traces.
+    registered here, recorded in the parent on first use, and spooled to
+    the sweep workers by store key.
     """
     sc = get_scale(scale)
     points = []

@@ -6,7 +6,7 @@ Usage::
     repro-experiments table1 fig6 --scale small
     repro-experiments all --scale paper     # the full 1/100 TPC-D sizing
     REPRO_SCALE=paper repro-experiments all # same, via the environment
-    repro-experiments fig8 fig9 --jobs 4    # sweeps on a 4-worker pool
+    repro-experiments fig8 fig9 --jobs 4    # sweeps on 4 worker processes
     repro-experiments fig8 --trace-dir ~/.cache/repro-traces
                                             # record once, load forever
     repro-experiments fig8 fig9 --jobs 4 --checkpoint-dir ckpt \\
@@ -52,8 +52,9 @@ def _build_parser():
                         default=os.environ.get("REPRO_SCALE", "small"),
                         help="scale preset: tiny, small, medium, paper")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep-based experiments "
-                             "(default: 1, run in-process)")
+                        help="repro-sweep-worker subprocesses for "
+                             "sweep-based experiments; they fetch traces "
+                             "by store key (default: 1, run in-process)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="persistent trace store: record query traces "
                              "there on first run, load them on later runs "
@@ -61,8 +62,8 @@ def _build_parser():
                              "see --strict-store)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="keep the sweep's lease ledger there: "
-                             "completed points are durable under every "
-                             "backend, and an interrupted run resumes from "
+                             "completed points are durable with any "
+                             "--jobs, and an interrupted run resumes from "
                              "it instead of restarting")
     parser.add_argument("--point-timeout", type=float, default=None,
                         metavar="SEC",
@@ -72,22 +73,11 @@ def _build_parser():
                         help="worker re-attempts per failed sweep point "
                              "before degrading to in-process execution "
                              "(default: 2)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "inproc", "pool", "workers"],
-                        help="what the sweep supervisor drives: 'auto' "
-                             "picks the process pool when --jobs > 1, "
-                             "'inproc' forces serial, 'pool' forces the "
-                             "process pool, 'workers' runs "
-                             "repro-sweep-worker subprocesses that fetch "
-                             "traces by store key (default: auto)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker subprocesses for --backend workers "
-                             "(default: 0, derive from --jobs)")
     parser.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="SEC",
                         help="seconds a ledger claim on a sweep point "
                              "stays exclusive without a heartbeat, and the "
-                             "silence after which a --backend workers "
+                             "silence after which a sweep worker "
                              "subprocess is killed and its point re-queued "
                              "(default: 30)")
     parser.add_argument("--kernel", default=os.environ.get("REPRO_KERNEL",
@@ -163,8 +153,6 @@ def main(argv=None):
         report_out=args.report_out,
         progress=args.progress,
         kernel=args.kernel,
-        backend=args.backend,
-        workers=args.workers,
         lease_ttl=args.lease_ttl,
     )
     configure_run(config)

@@ -230,7 +230,7 @@ def horizon_schedule(traces, l2_shift):
         plans.append(HorizonPlan(stops, n, n_boundary))
         retirable.append(1.0 - (n_boundary / n) if n else 1.0)
     sched = HorizonSchedule(set(ws_arr.tolist()), plans, retirable)
-    # The memo is a process-local cache by design: each pool worker
+    # The memo is a process-local cache by design: each sweep worker
     # rebuilds its own schedules, and nothing flows between processes
     # through it (run stats travel the metrics-registry merge path).
     if len(_schedules) >= SCHEDULE_MEMO:

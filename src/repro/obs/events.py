@@ -1,7 +1,7 @@
 """Run events: the supervisor's recovery actions as a observable stream.
 
 The sweep supervisor already *does* the interesting things -- retries,
-pool respawns, timeouts, in-process fallbacks, checkpoint resumes -- but
+worker respawns, timeouts, in-process fallbacks, checkpoint resumes -- but
 used to report them only as end-of-run counter totals.  This module gives
 those moments a live channel: the supervisor calls :func:`emit`, and
 

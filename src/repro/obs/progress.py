@@ -71,7 +71,7 @@ class ProgressReporter:
         elif kind == "point.retry":
             self._retries += 1
             self._draw()
-        elif kind == "pool.respawn":
+        elif kind == "worker.respawn":
             self._respawns += 1
             self._draw()
         elif kind == "point.fallback":

@@ -1,7 +1,7 @@
 """Phase spans: start/stop tracing around the pipeline stages.
 
 A span measures one phase of the run -- ``dbgen``, ``record``, ``encode``,
-``replay``, ``sweep-point``, ``ledger-complete``, ``pool-respawn``,
+``replay``, ``sweep-point``, ``ledger-complete``, ``worker-respawn``,
 ``experiment`` -- with wall-clock *and* CPU time, nested parent-child the
 way the phases actually contain each other (a ``sweep-point`` contains its
 ``replay``; an ``experiment`` contains its points).  The finished tree is
@@ -15,10 +15,10 @@ one attribute load and a truth test -- measured in nanoseconds, so sweep
 hot paths stay within the ≤2% overhead budget, and nothing here ever
 touches simulation state (results are bit-identical either way).
 
-Spans are process-local.  ``spawn`` pool workers trace into their own
-tracer, which dies with them; the parent supervises per-point wall time
-itself (the ``sweep.point.seconds`` histogram), so the report still
-accounts for pool-side work.
+Spans are process-local.  ``repro-sweep-worker`` processes trace into
+their own tracer, which dies with them; the parent supervises per-point
+wall time itself (the ``sweep.point.seconds`` histogram), so the report
+still accounts for worker-side work.
 """
 
 import time

@@ -66,9 +66,9 @@ def run_scenario(spec, scale="small", jobs=None, config=None):
 
     The spec becomes a single :class:`~repro.core.sweep.SweepPoint`
     (qid ``scn:<hash>``, the spec's machine overrides, one trace per CPU),
-    so every execution path -- in-process, ``--jobs N`` pool, the workers
-    backend, checkpoint resume -- behaves exactly as it does for query
-    sweeps, bit-identically.
+    so every execution path -- in-process, ``--jobs N`` workers,
+    checkpoint resume -- behaves exactly as it does for query sweeps,
+    bit-identically.
     """
     from repro.core.sweep import SweepPoint, run_sweep
 

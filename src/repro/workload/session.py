@@ -25,8 +25,8 @@ and lease-journaled under ``scn:<spec-hash>`` through the ordinary
 :class:`~repro.core.tracecache.TraceCache` / trace-store / worker-fabric
 paths -- :meth:`TraceCache._record` recognizes the prefix and delegates
 here.  Recording happens only where a spec has been registered (the sweep
-parent; pool workers receive shipped bytes and ``repro-sweep-worker``
-processes strict-load from the spool, so neither ever records).  A
+parent; ``repro-sweep-worker`` processes strict-load from the spool, so
+they never record).  A
 scenario trace can only serve the points of its own spec, so it lives as
 long as its sweep: :func:`repro.core.sweep.run_sweep` releases it after the
 last point naming the qid, and a later run of the same spec re-records (or
@@ -142,9 +142,9 @@ def record_scenario(qid, scale, db_seed, arena_size, lock_check=True):
             backends[cpu].priv.reset_heap()
         if sp is not None:
             sp.meta["rows"] = sum(len(t) for t in traces.values())
-    # Recording is parent-side only: pool/fabric workers receive scenario
-    # traces as shipped bytes and never reach this memo, so the global
-    # stays process-local by design.
+    # Recording is parent-side only: sweep workers load scenario traces
+    # from the spool and never reach this memo, so the global stays
+    # process-local by design.
     _RECORDINGS[mkey] = traces
     registry().counter("workload.scenario.recordings").inc()
     registry().counter("workload.scenario.ops").inc(len(schedule))

@@ -1,18 +1,22 @@
-"""The sweep supervisor's fault matrix: every case on both transports.
+"""The sweep supervisor's fault matrix, on ``repro-sweep-worker`` workers.
 
 The supervisor's contract (see :mod:`repro.core.backend`) is that a sweep
-fanned out over either transport -- the process pool or the
-``repro-sweep-worker`` subprocesses -- under injected crashes, hangs,
-raises and garbage results completes with summaries bit-identical to the
+fanned out over worker subprocesses under injected crashes, hangs, raises
+and garbage results completes with summaries bit-identical to the
 ``jobs=1`` run, or, when a point cannot be computed at all, raises one
 :class:`PointFailure` carrying the point's identity and the original
-error.  There is one policy, so every case below runs the same assertions
-on both transports.  Faults are injected through :mod:`repro.core.faults`,
-which worker processes pick up from the environment.
+error.  Faults are injected through :mod:`repro.core.faults`, which worker
+processes pick up from the environment.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.core import backend
 from repro.core.backend import fabric_stats
 from repro.core.errors import PointFailure
@@ -32,12 +36,6 @@ from repro.tpcd.scales import get_scale
 SCALE = "tiny"
 LINES = (16, 32, 64, 128)
 
-#: The matrix's transport axis: the RunConfig options that select each.
-TRANSPORTS = {
-    "pool": dict(backend="pool", jobs=2),
-    "workers": dict(backend="workers", workers=2),
-}
-
 
 def _points(n):
     return [SweepPoint(key=("Q6", line), qid="Q6",
@@ -49,13 +47,12 @@ def _counters():
     return {**fabric_stats(), **supervisor_stats()}
 
 
-def _sweep(transport, points, **options):
-    """``points`` through ``transport`` (or ``"serial"``) from a cold memo;
-    returns the results and how far each recovery counter moved."""
+def _sweep(points, jobs=2, **options):
+    """``points`` on ``jobs`` workers (``jobs=1``: serially) from a cold
+    memo; returns the results and how far each recovery counter moved."""
     clear_variant_cache()
     before = _counters()
-    how = TRANSPORTS.get(transport) or dict(jobs=1)
-    config = RunConfig(scale=SCALE, **how, **options)
+    config = RunConfig(scale=SCALE, jobs=jobs, **options)
     results = run_sweep(points, scale=SCALE, config=config)
     return results, {k: v - before[k] for k, v in _counters().items()}
 
@@ -68,46 +65,45 @@ def serial3():
 
 def test_injected_raise_is_retried(monkeypatch, serial3):
     monkeypatch.setenv(ENV_VAR, "raise@1")
-    for transport in TRANSPORTS:
-        result, moved = _sweep(transport, _points(3))
-        assert result == serial3, transport
-        assert moved["retries"] == 1, transport
-        assert moved["fallbacks"] == 0, transport
+    result, moved = _sweep(_points(3))
+    assert result == serial3
+    assert moved["retries"] == 1
+    assert moved["fallbacks"] == 0
 
 
 def test_crash_respawns_pool_and_garbage_is_rejected(monkeypatch, serial3):
+    # The crashed worker is replaced: a death, then a respawn.
     monkeypatch.setenv(ENV_VAR, "crash@0,garbage@2")
-    for transport, replaced in (("pool", "respawns"), ("workers", "deaths")):
-        result, moved = _sweep(transport, _points(3))
-        assert result == serial3, transport
-        assert moved[replaced] > 0, transport
-        assert moved["garbage"] > 0, transport
+    result, moved = _sweep(_points(3))
+    assert result == serial3
+    assert moved["deaths"] > 0 and moved["respawns"] > 0
+    assert moved["garbage"] > 0
 
 
 def test_hang_times_out_and_recovers(monkeypatch, serial3):
     # The timeout is measured from dispatch to a worker that has finished
     # starting, so it can be far shorter than an interpreter start-up.
-    monkeypatch.setenv(ENV_VAR, "hang@1")
+    # Both workers hang, so both are killed while points remain and both
+    # must be replaced.
+    monkeypatch.setenv(ENV_VAR, "hang@0,hang@1")
     monkeypatch.setenv(ENV_HANG, "60")
-    for transport, replaced in (("pool", "respawns"), ("workers", "deaths")):
-        result, moved = _sweep(transport, _points(3), point_timeout=0.5)
-        assert result == serial3, transport
-        assert moved["timeouts"] > 0, transport
-        assert moved[replaced] > 0, transport
+    result, moved = _sweep(_points(3), point_timeout=0.5)
+    assert result == serial3
+    assert moved["timeouts"] == 2
+    assert moved["deaths"] > 0 and moved["respawns"] > 0
 
 
 def test_persistent_failure_degrades_to_in_process(monkeypatch, serial3):
-    # Two ways out of the retry loop, one rule on both transports.  Point
-    # 0's fault outlives the retry budget: one retry, then the parent
-    # (where injected faults never fire) computes it.  Point 1's error
-    # declares itself not retryable -- a declaration that must survive
-    # pickling and the wire -- so it goes to the parent without a retry.
+    # Two ways out of the retry loop.  Point 0's fault outlives the retry
+    # budget: one retry, then the parent (where injected faults never
+    # fire) computes it.  Point 1's error declares itself not retryable --
+    # a declaration that must survive the wire -- so it goes to the parent
+    # without a retry.
     monkeypatch.setenv(ENV_VAR, "raise@0*9,fatal@1*9")
-    for transport in TRANSPORTS:
-        result, moved = _sweep(transport, _points(3), retries=1)
-        assert result == serial3, transport
-        assert moved["retries"] == 1, transport
-        assert moved["fallbacks"] == 2, transport
+    result, moved = _sweep(_points(3), retries=1)
+    assert result == serial3
+    assert moved["retries"] == 1
+    assert moved["fallbacks"] == 2
 
 
 def test_worker_error_carries_point_identity():
@@ -115,57 +111,46 @@ def test_worker_error_carries_point_identity():
     # surface with the point key and the original message, not a bare
     # worker traceback -- and not poison the healthy point beside it.
     bad = SweepPoint(key=("Q6", "bogus"), qid="Q6", placement="bogus")
-    for transport in TRANSPORTS:
-        with pytest.raises(PointFailure, match="unknown placement") as info:
-            _sweep(transport, [_points(1)[0], bad], retries=0)
-        assert info.value.point_key == ("Q6", "bogus"), transport
-        assert info.value.qid == "Q6", transport
+    with pytest.raises(PointFailure, match="unknown placement") as info:
+        _sweep([_points(1)[0], bad], retries=0)
+    assert info.value.point_key == ("Q6", "bogus")
+    assert info.value.qid == "Q6"
 
 
 def test_spawn_budget_exhaustion_degrades_to_in_process(monkeypatch, serial3):
     # A transport that can never bring a worker up must not respawn without
     # bound: the budget runs out and the whole sweep runs in the parent.
-    class BrokenPool:
-        def __init__(self, **kwargs):
-            pass
-
-        def submit(self, fn, *args):
-            raise backend.BrokenExecutor("no worker ever comes up")
-
-        def shutdown(self, **kwargs):
-            pass
-
     def no_popen(*args, **kwargs):
         raise OSError("no worker ever comes up")
 
-    monkeypatch.setattr(backend, "ProcessPoolExecutor", BrokenPool)
     monkeypatch.setattr(backend.subprocess, "Popen", no_popen)
-    for transport in TRANSPORTS:
-        with pytest.warns(UserWarning, match="degraded to in-process"):
-            result, moved = _sweep(transport, _points(3))
-        assert result == serial3, transport
-        assert moved["degraded"] == 1, transport
-        assert moved["fallbacks"] == 0 and moved["retries"] == 0, transport
+    with pytest.warns(UserWarning, match="degraded to in-process"):
+        result, moved = _sweep(_points(3))
+    assert result == serial3
+    assert moved["degraded"] == 1 and moved["respawns"] == 0
+    assert moved["fallbacks"] == 0 and moved["retries"] == 0
 
 
 def test_checkpoint_resume_skips_completed_points(tmp_path, serial3):
-    # The ledger is the same file under every backend, so each run below
-    # resumes what a different one left.
+    # The ledger is the same file serial or parallel, so each run below
+    # resumes what an earlier one left.
+    # One point is too few to fan out, so this first run is serial.
     ckpt = str(tmp_path)
-    done, _ = _sweep("pool", _points(2), checkpoint_dir=ckpt)
-    assert done == {p.key: serial3[p.key] for p in _points(2)}
+    done, moved = _sweep(_points(1), checkpoint_dir=ckpt)
+    assert done == {p.key: serial3[p.key] for p in _points(1)}
+    assert moved["spawns"] == 0
 
     # Simulated restart (the memo is gone, only the ledger remains), and
-    # the sweep has grown: only the new point is simulated.
-    extended, moved = _sweep("workers", _points(3), checkpoint_dir=ckpt)
+    # the sweep has grown: only the two new points are simulated.
+    extended, moved = _sweep(_points(3), checkpoint_dir=ckpt)
     assert extended == serial3
-    assert moved["resumed"] == 2 and moved["spawns"] == 1
+    assert moved["resumed"] == 1 and moved["spawns"] == 2
 
     before_misses = point_memo_stats()["misses"]
-    for how in (*TRANSPORTS, "serial"):
-        again, moved = _sweep(how, _points(3), checkpoint_dir=ckpt)
-        assert again == serial3, how
-        assert moved["resumed"] == 3 and moved["spawns"] == 0, how
+    for jobs in (2, 1):
+        again, moved = _sweep(_points(3), jobs=jobs, checkpoint_dir=ckpt)
+        assert again == serial3, jobs
+        assert moved["resumed"] == 3 and moved["spawns"] == 0, jobs
     assert point_memo_stats()["misses"] == before_misses
     with LeaseLedger(ckpt) as ledger:
         assert len(ledger.completed) == 3 and not ledger.leases
@@ -177,26 +162,58 @@ def test_stale_lease_is_requeued_exactly_once(tmp_path, serial3):
     further resume re-queues nothing."""
     points = _points(3)
     keys = [_point_cache_key(p, get_scale(SCALE), 42) for p in points]
-    for transport in TRANSPORTS:
-        ckpt = str(tmp_path / transport)
-        # The interrupt: point 0 completed, point 1 claimed by a driver
-        # whose pid no longer exists (run_sweep seeds 42 by default).
-        with LeaseLedger(ckpt) as ledger:
-            ledger.complete(keys[0], serial3[points[0].key], worker="w0")
-            ledger.claim(keys[1], "w1", pid=2 ** 22 + 999)
+    ckpt = str(tmp_path)
+    # The interrupt: point 0 completed, point 1 claimed by a driver whose
+    # pid no longer exists (run_sweep seeds 42 by default).
+    with LeaseLedger(ckpt) as ledger:
+        ledger.complete(keys[0], serial3[points[0].key], worker="w0")
+        ledger.claim(keys[1], "w1", pid=2 ** 22 + 999)
 
-        result, moved = _sweep(transport, points, checkpoint_dir=ckpt)
-        assert result == serial3, transport
-        assert moved["requeued"] == 1 and moved["resumed"] == 1, transport
+    result, moved = _sweep(points, checkpoint_dir=ckpt)
+    assert result == serial3
+    assert moved["requeued"] == 1 and moved["resumed"] == 1
+    assert moved["spawns"] == 2
 
-        # Exactly once: the reclaim was durable, a second resume finds all
-        # three points completed and nothing stale.
-        result, moved = _sweep(transport, points, checkpoint_dir=ckpt)
-        assert result == serial3, transport
-        assert moved["requeued"] == 0 and moved["resumed"] == 3, transport
-        with LeaseLedger(ckpt) as ledger:
-            assert not ledger.leases
-            assert all(ledger.get(k) is not None for k in keys)
+    # Exactly once: the reclaim was durable, a second resume finds all
+    # three points completed and nothing stale.
+    result, moved = _sweep(points, checkpoint_dir=ckpt)
+    assert result == serial3
+    assert moved["requeued"] == 0 and moved["resumed"] == 3
+    with LeaseLedger(ckpt) as ledger:
+        assert not ledger.leases
+        assert all(ledger.get(k) is not None for k in keys)
+
+
+_UNGUARDED_SCRIPT = textwrap.dedent("""
+    from repro.core import RunConfig, fabric_stats, run_sweep
+    from repro.core.sweep import SweepPoint, supervisor_stats
+
+    points = [SweepPoint(key=("Q6", line), qid="Q6",
+                         machine={"l1_line": line // 2, "l2_line": line})
+              for line in (16, 32, 64)]
+    run_sweep(points, scale="tiny", config=RunConfig(scale="tiny", jobs=2))
+    print("SWEPT", supervisor_stats()["respawns"],
+          fabric_stats()["degraded"], flush=True)
+""")
+
+
+def test_unguarded_script_runs_its_body_once(tmp_path):
+    # A script with no ``if __name__ == "__main__":`` guard that sweeps
+    # with jobs=2: workers are fresh ``python -m repro.core.worker``
+    # interpreters, so the caller's module is never re-executed in them.
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    pkg_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    env.pop(ENV_VAR, None)
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    marks = [line for line in done.stdout.splitlines()
+             if line.startswith("SWEPT")]
+    assert marks == ["SWEPT 0 0"], done.stdout
 
 
 class ScriptedTransport:

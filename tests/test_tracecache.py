@@ -218,8 +218,8 @@ def test_sweep_process_pool_matches_serial():
         for line in (32, 64)
     ]
     serial = run_sweep(points, scale=SCALE, jobs=1)
-    # Drop the parent's point memo so jobs=2 actually spawns the pool
-    # (run_sweep answers memoized points without workers).
+    # Drop the parent's point memo so jobs=2 actually spawns workers
+    # (run_sweep answers memoized points without them).
     clear_variant_cache()
     parallel = run_sweep(points, scale=SCALE, jobs=2)
     assert parallel == serial

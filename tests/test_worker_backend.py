@@ -1,8 +1,8 @@
-"""The ``workers`` transport: protocol framing, selection, stdio-only faults.
+"""The worker transport: protocol framing, selection, stdio-only faults.
 
-The faults both transports share are pinned by the matrix in
-``test_sweep_supervisor.py``.  This file covers what only the
-``repro-sweep-worker`` transport has (see :mod:`repro.core.backend`): the
+The compute faults (crash, hang, raise, garbage) are pinned by the matrix
+in ``test_sweep_supervisor.py``.  This file covers the rest of the
+``repro-sweep-worker`` transport (see :mod:`repro.core.backend`): the
 CRC-framed wire protocol, the error codec that crosses it, and the
 protocol-level failures -- heartbeat stalls and corrupt result frames --
 under which a sweep must still match the serial run bit for bit.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.backend import (
     FrameBuffer,
-    PoolTransport,
     WorkerTransport,
     fabric_stats,
     pack_frame,
@@ -56,7 +55,7 @@ def _points(n):
 
 
 def _workers_config(tmp_path, **overrides):
-    options = dict(scale=SCALE, backend="workers", workers=2,
+    options = dict(scale=SCALE, jobs=2,
                    checkpoint_dir=str(tmp_path / "ckpt"), lease_ttl=20.0)
     options.update(overrides)
     return RunConfig(**options)
@@ -178,19 +177,14 @@ def test_malformed_error_frame_decodes_to_protocol_error():
 # -- backend selection -----------------------------------------------------
 
 def test_resolve_backend_selection():
-    for n_todo in (4, 1):
-        assert select_transport(RunConfig(backend="workers"),
-                                n_todo) is WorkerTransport
-    for config in (RunConfig(backend="pool", jobs=2), RunConfig(jobs=4)):
-        assert select_transport(config, 4) is PoolTransport
-    assert (WorkerTransport.name, PoolTransport.name) == ("workers", "pool")
-    # inproc -- and auto or pool with one job, or one point -- need no
-    # transport: the points run in run_sweep's own serial loop.
-    assert select_transport(RunConfig(backend="inproc", jobs=4), 4) is None
-    assert select_transport(RunConfig(backend="pool"), 4) is None
-    assert select_transport(RunConfig(jobs=1), 4) is None
-    assert select_transport(RunConfig(jobs=4), 1) is None
-    assert select_transport(RunConfig(backend="workers"), 0) is None
+    # The worker transport whenever more than one job and more than one
+    # point; ``backend`` is only validated and ``workers`` is ignored.
+    for backend in ("auto", "inproc", "pool", "workers"):
+        config = RunConfig(backend=backend, jobs=2)
+        assert select_transport(config, 4) is WorkerTransport
+        assert select_transport(RunConfig(backend=backend), 4) is None
+        assert select_transport(RunConfig(backend=backend, jobs=4), 1) is None
+        assert select_transport(RunConfig(backend=backend, jobs=4), 0) is None
     with pytest.raises(ValueError, match="unknown sweep backend"):
         select_transport(RunConfig(backend="mainframe"), 4)
 
@@ -210,12 +204,15 @@ def _workers(points, tmp_path, **overrides):
 
 
 def test_workers_backend_matches_serial(tmp_path, serial3):
-    before = fabric_stats()
+    before = {**fabric_stats(), **supervisor_stats()}
     result = _workers(_points(3), tmp_path)
-    after = fabric_stats()
+    moved = {k: v - before[k]
+             for k, v in {**fabric_stats(), **supervisor_stats()}.items()}
     assert result == serial3
-    assert after["spawns"] > before["spawns"]
-    assert after["corrupt_frames"] == before["corrupt_frames"]
+    assert moved["spawns"] == 2
+    assert moved["corrupt_frames"] == 0
+    # A clean sweep replaces no worker: the first wave is not a respawn.
+    assert moved["respawns"] == moved["deaths"] == moved["degraded"] == 0
     # The ledger holds every summary, compacted, no leases left.
     with LeaseLedger(tmp_path / "ckpt") as ledger:
         assert len(ledger.completed) == 3
@@ -282,8 +279,8 @@ def test_stale_lease_requeued_exactly_once_on_resume(tmp_path, serial3):
 
 
 def test_interrupted_workers_ledger_resumes_in_process(tmp_path, serial3):
-    """Cross-backend resume: a ledger left by --backend workers is honoured
-    by a plain (auto-backend, serial) resume in the same checkpoint dir."""
+    """Cross-width resume: a ledger left by a jobs=2 run is honoured by a
+    plain serial resume in the same checkpoint dir."""
     points = _points(2)
     scale = get_scale(SCALE)
     ckpt = tmp_path / "ckpt"

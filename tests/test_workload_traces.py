@@ -112,8 +112,8 @@ def test_update_trace_codec_round_trip():
 
 
 def test_scenario_bit_identical_across_jobs_and_backends(tmp_path):
-    # Two points per sweep, so the pool really spawns (a single point
-    # short-circuits to in-process) and the parent ships, then releases.
+    # Two points per sweep, so jobs=2 really spawns workers (a single point
+    # short-circuits to in-process) and the parent spools, then releases.
     spec = update_spec()
     points = [_point(spec),
               SweepPoint(key="wide", qid=scenario_qid(spec),
@@ -130,11 +130,10 @@ def test_scenario_bit_identical_across_jobs_and_backends(tmp_path):
         return {key: summary_hash(s) for key, s in out.items()}
 
     serial = hashes()
-    pooled = hashes(RunConfig(scale=SCALE, jobs=2, backend="pool"))
-    fabric = hashes(RunConfig(scale=SCALE, backend="workers", workers=2,
-                              checkpoint_dir=str(tmp_path / "ckpt"),
-                              lease_ttl=20.0))
-    assert serial == pooled == fabric
+    parallel = hashes(RunConfig(scale=SCALE, jobs=2,
+                                checkpoint_dir=str(tmp_path / "ckpt"),
+                                lease_ttl=20.0))
+    assert serial == parallel
     assert serial[spec.name] != serial["wide"]
 
 
