@@ -3,15 +3,15 @@
 Three acts over line-size sweeps on ``repro-sweep-worker`` workers:
 
 1. a clean four-point run is bit-identical to the in-process run,
-   replaces no worker, and leaves the lease ledger compacted, with no
-   leases left;
+   replaces no worker, and leaves exactly one ledger record per point;
 2. an eight-point run under every fault kind at once -- a raise, a
    worker crash, a garbage result, a hang, a corrupt result frame, a
    heartbeat stall -- plus a randomized-but-seeded chaos schedule on top,
    is *still* bit-identical, and each recovery path provably fired;
-3. a run interrupted mid-sweep (SIGINT) resumes from the lease ledger:
-   the in-flight point is re-queued exactly once and the final results
-   are bit-identical again.
+3. a run interrupted mid-sweep (SIGINT) resumes from the ledger: with
+   ``k`` points recorded complete, the resume takes exactly those ``k``
+   from it and re-runs exactly the other ``n - k``, the final results are
+   bit-identical again, and a second resume re-runs nothing.
 
 The chaos seed comes from ``CHAOS_SEED`` (default 42) so CI can sweep a
 matrix of schedules while any one failure stays reproducible::
@@ -45,7 +45,7 @@ def _fail(msg):
 
 def _clean_run(serial, ckpt):
     from repro.core import RunConfig
-    from repro.core.ledger import LeaseLedger
+    from repro.core.ledger import Ledger, iter_records
     from repro.core.sweep import (
         clear_variant_cache, run_sweep, supervisor_stats,
     )
@@ -59,10 +59,12 @@ def _clean_run(serial, ckpt):
         return _fail("clean sweep on workers diverged from serial")
     if supervisor_stats()["respawns"] != before:
         return _fail("a clean sweep replaced a worker")
-    with LeaseLedger(ckpt) as ledger:
-        if len(ledger.completed) != len(got) or ledger.leases:
+    with Ledger(ckpt) as ledger, open(ledger.path, "rb") as fh:
+        n_records = sum(1 for _ in iter_records(fh.read()))
+        if len(ledger.completed) != len(got) or n_records != len(got):
             return _fail(f"ledger not settled: {len(ledger.completed)} "
-                         f"completed, {len(ledger.leases)} leases")
+                         f"completed in {n_records} records for "
+                         f"{len(got)} points")
     print("chaos smoke 1/3 OK: clean workers == serial")
     return 0
 
@@ -109,7 +111,7 @@ _INTERRUPT_PROG = textwrap.dedent("""
     from repro.core.faults import ENV_VAR
     from repro.core.sweep import SweepPoint, run_sweep
     # A heartbeat stall keeps the sweep alive long enough to interrupt,
-    # and leaves that point claimed-but-never-completed in the ledger.
+    # and leaves that point never completed in the ledger.
     os.environ[ENV_VAR] = "wstall@3"
     points = [SweepPoint(key=("Q6", line, 4), qid="Q6",
                          machine={"l1_line": line // 2, "l2_line": line})
@@ -121,11 +123,35 @@ _INTERRUPT_PROG = textwrap.dedent("""
 """)
 
 
-def _interrupt_and_resume(serial, ckpt):
+def _resume_counted(ckpt):
+    """One resume of the interrupted sweep: its results, how many points
+    it took from the ledger, and how many it ran."""
     from repro.core import RunConfig
     from repro.core.sweep import (
         clear_variant_cache, run_sweep, supervisor_stats,
     )
+    from repro.obs import events
+
+    ran = []
+
+    def count_runs(kind, _detail):
+        if kind == "point.done":
+            ran.append(kind)
+
+    before = supervisor_stats()["resumed"]
+    clear_variant_cache()
+    events.subscribe(count_runs)
+    try:
+        got = run_sweep(_points(), scale="tiny",
+                        config=RunConfig(jobs=2, checkpoint_dir=ckpt,
+                                         lease_ttl=20.0))
+    finally:
+        events.unsubscribe(count_runs)
+    return got, supervisor_stats()["resumed"] - before, len(ran)
+
+
+def _interrupt_and_resume(serial, ckpt):
+    from repro.core.ledger import Ledger
 
     env = dict(os.environ, CKPT=ckpt)
     env.setdefault("PYTHONPATH", "src")
@@ -140,33 +166,30 @@ def _interrupt_and_resume(serial, ckpt):
         return _fail("interrupted run finished before the SIGINT landed; "
                      "nothing was resumed")
 
-    before = supervisor_stats()
-    clear_variant_cache()
-    got = run_sweep(_points(), scale="tiny",
-                    config=RunConfig(jobs=2, checkpoint_dir=ckpt,
-                                     lease_ttl=20.0))
-    stats = supervisor_stats()
+    # What the interrupted run left: k points recorded complete.
+    with Ledger(ckpt) as ledger:
+        k = len(ledger.completed)
+    n = len(serial)
+    if not (1 <= k < n):
+        return _fail(f"expected the SIGINT to land mid-sweep, but the "
+                     f"ledger holds {k} of {n} points")
+
+    got, resumed, ran = _resume_counted(ckpt)
     if got != serial:
         return _fail("resumed sweep diverged from serial")
-    resumed = stats["resumed"] - before["resumed"]
-    requeued = stats["requeued"] - before["requeued"]
-    if not (1 <= resumed <= 3):
-        return _fail(f"expected 1..3 resumed points, got {resumed}")
-    if requeued < 1:
-        return _fail("expected the interrupted in-flight point re-queued")
+    if resumed != k or ran != n - k:
+        return _fail(f"the resume took {resumed} points from a ledger of "
+                     f"{k} and ran {ran}; expected {k} and {n - k}")
 
-    # Exactly once: a further resume finds everything completed.
-    clear_variant_cache()
-    again = run_sweep(_points(), scale="tiny",
-                      config=RunConfig(jobs=2, checkpoint_dir=ckpt,
-                                       lease_ttl=20.0))
-    final = supervisor_stats()
+    # A further resume finds everything completed and runs nothing.
+    again, resumed2, ran2 = _resume_counted(ckpt)
     if again != serial:
         return _fail("second resume diverged from serial")
-    if final["requeued"] != stats["requeued"]:
-        return _fail("a reclaimed lease was re-queued twice")
+    if resumed2 != n or ran2:
+        return _fail(f"the second resume took {resumed2} of {n} points "
+                     f"from the ledger and ran {ran2}")
     print(f"chaos smoke 3/3 OK: SIGINT resume == serial "
-          f"(resumed={resumed} requeued={requeued})")
+          f"(resumed={k} re-ran={n - k})")
     return 0
 
 

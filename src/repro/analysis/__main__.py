@@ -22,7 +22,7 @@ from repro.analysis.reporters import json_report, text_report
 
 def _cmd_check(args):
     try:
-        result = check(args.paths, jobs=args.jobs)
+        result = check(args.paths)
     except FileNotFoundError as exc:
         print(f"python -m repro.analysis check: error: no such file or "
               f"directory: {exc.args[0]}", file=sys.stderr)
@@ -58,8 +58,6 @@ def main(argv=None):
                          help="files or directories (default: src)")
     p_check.add_argument("--format", choices=("text", "json"),
                          default="text", help="output format (default: text)")
-    p_check.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default: auto)")
     p_check.set_defaults(func=_cmd_check)
 
     p_rules = sub.add_parser("rules", help="print the rule catalogue")

@@ -1,18 +1,17 @@
-"""The analysis engine: file collection, parallel per-file pass, project
+"""The analysis engine: file collection, one serial per-file pass, project
 pass, and inline suppression.
 
 The one rule, TNT001, needs the whole program.  The per-file pass parses
-one file and returns its picklable taint *facts* (sources, calls and
-sinks per function) plus the file's suppression map, and the parent
-joins them in one interprocedural solve: the same split the sweep engine
-uses for simulation (workers produce, parent merges).
+one file and returns its taint *facts* (sources, calls and sinks per
+function) plus the file's suppression map, and :func:`check` joins them
+in one interprocedural solve.
 
-Everything is deterministic: files sort before dispatch, findings sort
-before reporting, and the worker pass is a pure function of file content.
+Everything is deterministic: files are visited in sorted order, findings
+sort before reporting, and the per-file pass is a pure function of file
+content.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.analysis import taint
@@ -20,9 +19,6 @@ from repro.analysis.model import FileModel, Finding
 
 #: Directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".trace-store", "build", "dist"}
-
-#: Below this many files a pool costs more than it saves.
-_PARALLEL_THRESHOLD = 8
 
 
 def rule_catalogue():
@@ -60,10 +56,9 @@ def analyze_file(path):
     """The per-file pass: ``(findings, facts, suppressions)``.
 
     ``facts`` is the file's taint fragment, or ``None`` for an
-    unparseable file.  Pure function of the file's content -- safe to
-    run in a pool worker.  Unparseable files yield a single ``PARSE``
-    finding so a syntax error fails the check instead of silently
-    shrinking its coverage.
+    unparseable file.  Pure function of the file's content.  Unparseable
+    files yield a single ``PARSE`` finding so a syntax error fails the
+    check instead of silently shrinking its coverage.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -76,18 +71,6 @@ def analyze_file(path):
                          message=f"file could not be analyzed: {exc}")],
                 None, {})
     return [], taint.collect_facts(model), model.suppressions
-
-
-def _run_files(files, *, jobs=None):
-    """The per-file pass over ``files``, pooled when it pays; results
-    are aligned to ``files``."""
-    if jobs is None:
-        jobs = 1 if len(files) < _PARALLEL_THRESHOLD \
-            else min(os.cpu_count() or 1, 8)
-    if jobs > 1 and len(files) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(analyze_file, files))
-    return [analyze_file(path) for path in files]
 
 
 @dataclass
@@ -114,17 +97,14 @@ def _is_suppressed(finding, suppressions_by_path):
     return False
 
 
-def check(paths, *, jobs=None):
-    """Analyze ``paths`` and return a :class:`CheckResult`.
-
-    ``jobs=None`` picks serial vs pooled automatically.
-    """
+def check(paths):
+    """Analyze ``paths`` and return a :class:`CheckResult`."""
     files = collect_files(paths)
     findings = []
     all_facts = []
     suppressions_by_path = {}
-    for path, (file_findings, facts, suppressions) in zip(
-            files, _run_files(files, jobs=jobs)):
+    for path in files:
+        file_findings, facts, suppressions = analyze_file(path)
         findings.extend(file_findings)
         if facts is not None:
             all_facts.append(facts)

@@ -42,7 +42,7 @@ from repro.core.errors import (
     WorkerProtocolError,
     is_retryable,
 )
-from repro.core.ledger import LeaseLedger
+from repro.core.ledger import Ledger
 from repro.core.report import format_table, normalize, percent
 from repro.core.locality import LocalityReport, analyze, analyze_query
 from repro.core.parallel import run_intra_query_workload
@@ -65,7 +65,7 @@ __all__ = [
     "current_run_config",
     "run_experiments",
     "MetricsRegistry",
-    "LeaseLedger",
+    "Ledger",
     "fabric_stats",
     "InvalidPointResult",
     "LeaseExpired",

@@ -8,9 +8,9 @@ stops being retried (the retry budget is spent, or
 :func:`~repro.core.errors.is_retryable` says retrying is pointless) and
 runs in the parent instead, when a point has hung (the per-point timeout),
 whether a result is a summary at all, how many workers a sweep may spawn
-before the whole transport is given up on, and what the checkpoint
-directory's lease ledger (:mod:`repro.core.ledger`) records -- claim on
-dispatch, complete on result, abandon on failure, compact at the end.
+before the whole transport is given up on, and when the checkpoint
+directory's ledger (:mod:`repro.core.ledger`) records a point -- once,
+durably, when its result is accepted.
 Summaries are plain JSON-safe dicts and every point is deterministic, so no
 recovery path can change a result, only its latency.
 
@@ -29,10 +29,10 @@ the pipe, and no trace array is ever pickled onto it.  Workers are fresh
 interpreters running ``python -m repro.core.worker``, so a caller's
 ``__main__`` module is never re-imported in them.  A dead worker (EOF), a
 corrupt frame (CRC mismatch; the stream past the damage is
-unsynchronized, so the worker is discarded) or heartbeat silence past the
-lease TTL (a stall or partition, detected with the parent's monotonic
-clock) loses one point; a kill takes one worker.  A worker spawned to
-replace a lost one is a *respawn*.
+unsynchronized, so the worker is discarded) or heartbeat silence past
+``lease_ttl`` seconds (a stall or partition, detected with the parent's
+monotonic clock) loses one point; a kill takes one worker.  A worker
+spawned to replace a lost one is a *respawn*.
 
 Frame format (little-endian)::
 
@@ -88,20 +88,20 @@ _FABRIC_METRICS = {
     "stale": "sweep.worker.stale",
     "corrupt_frames": "sweep.backend.corrupt_frames",
     "degraded": "sweep.backend.degraded",
-    "requeued": "sweep.point.requeued",
 }
 
 
 def fabric_stats():
     """Transport health counters (views over the metrics registry):
-    worker spawns/deaths, stale-heartbeat kills, corrupt protocol frames,
-    whole-transport degradations, and resume-requeued points."""
+    worker spawns/deaths, stale-heartbeat kills, corrupt protocol frames
+    and whole-transport degradations."""
     reg = registry()
     return {key: reg.value(name) for key, name in _FABRIC_METRICS.items()}
 
 
 def _heartbeat_interval(lease_ttl):
-    """Seconds between liveness signals for a lease of ``lease_ttl``."""
+    """Seconds between a worker's liveness signals, for a heartbeat-silence
+    limit of ``lease_ttl``."""
     return max(0.05, min(1.0, lease_ttl / 4.0))
 
 
@@ -494,15 +494,14 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
     """Run ``todo`` on ``transport``; return summaries in ``todo`` order.
 
     ``config`` is the run's :class:`~repro.core.run.RunConfig`, read for
-    ``point_timeout``, ``retries``, ``backoff`` and ``lease_ttl``; ``clock``
-    times dispatches, backoff embargoes and the per-point timeout.  At most
+    ``point_timeout``, ``retries`` and ``backoff``; ``clock`` times
+    dispatches, backoff embargoes and the per-point timeout.  At most
     ``transport.free_slots()`` points are in flight, dispatched in list
     order.  Every recovery decision is made here, once -- see the module docstring and
     EXPERIMENTS.md *Robustness* for the policy table.
     """
     n = len(todo)
     ckeys = [_point_cache_key(p, scale, seed) for p in todo]
-    holder = f"driver-{os.getpid()}"
     results = [None] * n
     attempts = [0] * n
     last_error = [None] * n
@@ -513,8 +512,6 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
     budget = max(4, 2 * n) + transport.capacity
     timeout = config.point_timeout
     tick = min(0.1, timeout / 5.0) if timeout else 0.1
-    beat = _heartbeat_interval(config.lease_ttl)
-    last_beat = clock()
     point_seconds = registry().histogram("sweep.point.seconds",
                                          _POINT_SECONDS_BUCKETS)
 
@@ -529,8 +526,6 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
         """One failed attempt: requeue with backoff, or -- the retry budget
         spent, or retrying pointless -- hand the point to the in-process
         fallback pass."""
-        if ledger is not None:
-            ledger.abandon(ckeys[i], holder, reason=type(exc).__name__)
         last_error[i] = exc
         attempts[i] += 1
         if retry and attempts[i] <= config.retries:
@@ -545,23 +540,6 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
             _sup_count("fallbacks")
             obs_events.emit("point.fallback", index=i,
                             key=repr(todo[i].key), attempts=attempts[i])
-
-    def claim(i, now):
-        """Take the ledger lease for point ``i``; ``False`` defers it."""
-        if ledger is None or ledger.claim(ckeys[i], holder,
-                                          ttl=config.lease_ttl):
-            return True
-        summary = ledger.get(ckeys[i])
-        if summary is not None:
-            # A concurrent driver sharing the ledger finished it for us.
-            results[i] = summary
-            obs_events.emit("point.done", index=i, key=repr(todo[i].key),
-                            attempts=attempts[i])
-        else:
-            # A foreign live lease: revisit after half a TTL.
-            not_before[i] = now + config.lease_ttl / 2.0
-            pending.append(i)
-        return False
 
     obs_events.emit("backend.start", backend=transport.name,
                     workers=transport.capacity, points=n)
@@ -583,11 +561,10 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
             ready = [i for i in pending if not_before[i] <= now]
             for i in ready[:transport.free_slots()]:
                 pending.remove(i)
-                if claim(i, now):
-                    transport.submit(i, attempts[i], todo[i])
-                    inflight[i] = now
-                    obs_events.emit("point.assigned", index=i,
-                                    attempts=attempts[i])
+                transport.submit(i, attempts[i], todo[i])
+                inflight[i] = now
+                obs_events.emit("point.assigned", index=i,
+                                attempts=attempts[i])
             for kind, i, payload in transport.poll(tick):
                 t0 = inflight.pop(i, None)
                 if t0 is None:
@@ -628,13 +605,7 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
                     f"sweep point {todo[i].key!r} exceeded the "
                     f"{timeout:.1f}s point timeout", point_key=todo[i].key,
                     qid=todo[i].qid, attempts=attempts[i] + 1))
-            if ledger is not None and now - last_beat >= beat:
-                last_beat = now
-                for i in inflight:
-                    ledger.heartbeat(ckeys[i], holder)
     finally:
-        # Kill, never abandon: an interrupt must leave the claims in the
-        # ledger so the next run's reclaim sees them as stale.
         transport.close()
 
     # Graceful degradation: repeatedly failing points run in the parent,
@@ -648,6 +619,4 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
                 todo[i], attempts[i], exc,
                 timeout=isinstance(last_error[i], PointTimeout)) from exc
         record(i, summary, attempts=attempts[i], fallback=True)
-    if ledger is not None:
-        ledger.compact()
     return results

@@ -59,8 +59,9 @@ class TraceStoreWarning(UserWarning):
 
 
 class LedgerError(ReproError):
-    """The lease ledger could not be opened, written, or compacted -- or
-    the checkpoint directory holds only a pre-ledger journal.
+    """The sweep ledger could not be opened, locked or written -- another
+    live sweep holds it -- or the checkpoint directory holds only a
+    pre-ledger journal.
 
     Not retryable: the ledger lives in the parent, and a directory that
     cannot be created now will not create itself on the next attempt.
@@ -127,9 +128,11 @@ class WorkerProtocolError(WorkerError):
 
 
 class LeaseExpired(WorkerError):
-    """A worker's lease on a point lapsed (stalled heartbeat, partition).
+    """A worker went silent past ``lease_ttl`` holding a point (stalled
+    heartbeat, partition).
 
-    The point was reclaimed and requeued; retryable by construction.
+    The worker was killed and the point requeued; retryable by
+    construction.
     """
 
 

@@ -47,8 +47,8 @@ from inside a ``repro-sweep-worker`` process:
     expiry and the parent's stale-worker kill;
 ``wpartition``
     the worker goes completely silent mid-point (no heartbeats, no
-    result), like a network partition -- exercises lease reclaim of a
-    worker that will never answer;
+    result), like a network partition -- exercises the parent's kill and
+    requeue of a worker that will never answer;
 ``wcorrupt``
     the worker flips a byte inside its result frame after the checksum is
     computed -- exercises protocol-level damage detection and the
@@ -62,7 +62,7 @@ seed always produces the same fault schedule, so a CI job can sweep a
 randomized fault matrix and still assert bit-identical results.
 
 :func:`corrupt_file` is the store-side counterpart: it bit-flips or
-truncates an on-disk artifact (trace-store entry, lease ledger) the
+truncates an on-disk artifact (trace-store entry, sweep ledger) the
 way real disk/writer damage would, deterministically.  It doubles as a
 tiny CLI for the CI smoke job::
 

@@ -50,9 +50,8 @@ class RunConfig:
     callers keep working: ``backend`` is only validated (``auto``,
     ``inproc``, ``pool`` and ``workers`` are accepted; any other name
     raises ``ValueError``).
-    ``lease_ttl`` is the seconds a claim in the checkpoint directory's
-    ledger (:mod:`repro.core.ledger`) stays exclusive without a heartbeat,
-    and the heartbeat silence after which a worker is given up on.
+    ``lease_ttl`` is the heartbeat silence, in seconds, after which a
+    sweep worker holding a point is killed and the point requeued.
     """
 
     scale: str = "small"

@@ -9,7 +9,7 @@ independent, so they also fan out over worker processes.
 A sweep is a list of :class:`SweepPoint` specifications -- JSON-safe, so
 they can be shipped to workers.  :func:`run_sweep` decides
 *what* must run: points already in the per-process memo, or completed in
-the checkpoint directory's lease ledger (:mod:`repro.core.ledger`), are
+the checkpoint directory's ledger (:mod:`repro.core.ledger`), are
 answered without simulating.  *How* the rest run is
 :mod:`repro.core.backend`'s business: with ``jobs=1`` (the default) they
 run right here, in the one serial loop, against the shared per-scale
@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.ledger import LeaseLedger, canonical_key
+from repro.core.ledger import Ledger
 from repro.core.tracestore import store_key
 from repro.db.shmem import shared_home_fn
 from repro.memsim.events import CLASS_NAMES, DataClass, N_CLASSES
@@ -321,14 +321,13 @@ _SUP_METRICS = {
     "fallbacks": "sweep.point.fallbacks",
     "garbage": "sweep.point.garbage",
     "resumed": "sweep.point.resumed",
-    "requeued": "sweep.point.requeued",
 }
 
 
 def supervisor_stats():
     """Recovery-path counters: retries, timeouts, worker respawns, in-process
-    fallbacks, rejected garbage results, and ledger-resumed / requeued
-    points (views over the ``sweep.*`` registry counters)."""
+    fallbacks, rejected garbage results, and ledger-resumed points (views
+    over the ``sweep.*`` registry counters)."""
     reg = registry()
     return {key: reg.value(name) for key, name in _SUP_METRICS.items()}
 
@@ -342,22 +341,12 @@ def _sup_count(key, n=1):
 def _resume(ledger, points, scale, seed):
     """Bring a checkpoint directory's progress into this process.
 
-    Stale leases -- points an interrupted run had claimed but never
-    completed -- are reclaimed first; the ledger's durable abandon records
-    make that requeue exactly-once (a second resume, or a concurrent
-    driver, finds nothing stale).  Completed summaries then seed the point
-    memo, so those points never reach a transport or the serial loop
-    again.
+    Completed summaries seed the point memo, so those points never reach a
+    transport or the serial loop again; every other point -- never
+    started, or in flight when an earlier run died -- simply runs.
     """
-    ckeys = [_point_cache_key(p, scale, seed) for p in points]
-    reclaimed = set(ledger.reclaim_stale())
-    mine = sum(1 for ckey in ckeys if canonical_key(ckey) in reclaimed)
-    if mine:
-        _sup_count("requeued", mine)
-        obs_events.emit("points.requeued", count=mine,
-                        reclaimed=len(reclaimed))
     resumed = 0
-    for ckey in ckeys:
+    for ckey in (_point_cache_key(p, scale, seed) for p in points):
         summary = ledger.get(ckey)
         if summary is not None and ckey not in _POINT_CACHE:
             _POINT_CACHE[ckey] = summary
@@ -385,9 +374,11 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
     retries, which the supervisor absorbs.
 
     A configured checkpoint directory makes every completed point durable
-    in its lease ledger (:mod:`repro.core.ledger`), serial or parallel; a
-    re-run -- with any ``jobs`` -- loads the ledger and re-simulates only
-    unfinished points, bit-identically.
+    in its ledger (:mod:`repro.core.ledger`), serial or parallel; a re-run
+    -- with any ``jobs`` -- loads the ledger and re-simulates only
+    unfinished points, bit-identically.  The ledger is held exclusively
+    while the sweep runs: a second live sweep on the same directory raises
+    :class:`~repro.core.errors.LedgerError`.
 
     Scenario traces (``scn:`` qids) live as long as the sweep needs them:
     once the last point naming one is simulated (or spooled), its traces
@@ -406,8 +397,7 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
 
     ledger = None
     if config.checkpoint_dir is not None:
-        ledger = LeaseLedger(config.checkpoint_dir,
-                             lease_ttl=config.lease_ttl)
+        ledger = Ledger(config.checkpoint_dir)
     try:
         if ledger is not None:
             _resume(ledger, points, scale, seed)

@@ -146,7 +146,7 @@ def _run(frame, ctx, wid, out, hb):
         return
     if wfault == "wstall":
         # Suppress heartbeats past the lease TTL: the parent must detect
-        # the stale lease and reclaim the point before we answer.
+        # the silence and requeue the point before we answer.
         hb.stalled.set()
         time.sleep(2.0 * ctx["lease_ttl"])
     try:

@@ -61,10 +61,10 @@ def _build_parser():
                              "(damaged entries re-record with a warning; "
                              "see --strict-store)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="keep the sweep's lease ledger there: "
-                             "completed points are durable with any "
-                             "--jobs, and an interrupted run resumes from "
-                             "it instead of restarting")
+                        help="keep the sweep's ledger of completed points "
+                             "there (one sweep at a time): they are durable "
+                             "with any --jobs, and an interrupted run "
+                             "resumes from it instead of restarting")
     parser.add_argument("--point-timeout", type=float, default=None,
                         metavar="SEC",
                         help="kill and retry a sweep point whose worker "
@@ -75,11 +75,9 @@ def _build_parser():
                              "(default: 2)")
     parser.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="SEC",
-                        help="seconds a ledger claim on a sweep point "
-                             "stays exclusive without a heartbeat, and the "
-                             "silence after which a sweep worker "
-                             "subprocess is killed and its point re-queued "
-                             "(default: 30)")
+                        help="heartbeat silence after which a sweep "
+                             "worker subprocess is killed and its point "
+                             "re-queued (default: 30)")
     parser.add_argument("--kernel", default=os.environ.get("REPRO_KERNEL",
                                                            "auto"),
                         choices=["auto", "horizon", "batched", "scalar"],
@@ -245,13 +243,13 @@ def _print_timings(config, outcomes):
     print(f"  supervisor   retries={sup['retries']} "
           f"timeouts={sup['timeouts']} respawns={sup['respawns']} "
           f"fallbacks={sup['fallbacks']} garbage={sup['garbage']} "
-          f"resumed={sup['resumed']} requeued={sup['requeued']}")
+          f"resumed={sup['resumed']}")
     fab = fabric_stats()
     if any(fab.values()):
         print(f"  worker fab   spawns={fab['spawns']} "
               f"deaths={fab['deaths']} stale={fab['stale']} "
               f"corrupt_frames={fab['corrupt_frames']} "
-              f"degraded={fab['degraded']} requeued={fab['requeued']}")
+              f"degraded={fab['degraded']}")
     ks = kernel_stats()
     rows = ks["inline_rows"] + ks["scalar_rows"]
     frac = f" ({ks['inline_rows'] / rows:.1%} inlined)" if rows else ""

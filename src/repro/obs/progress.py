@@ -37,7 +37,6 @@ class ProgressReporter:
         self._respawns = 0
         self._fallbacks = 0
         self._resumed = 0
-        self._requeued = 0
         self._workers_live = 0
         self._worker_deaths = 0
         self._worker_stale = 0
@@ -80,9 +79,6 @@ class ProgressReporter:
         elif kind == "points.resumed":
             self._resumed += detail.get("count", 0)
             self._draw()
-        elif kind == "points.requeued":
-            self._requeued += detail.get("count", 0)
-            self._draw()
         elif kind == "worker.spawn":
             self._workers_live += 1
             self._draw()
@@ -111,7 +107,6 @@ class ProgressReporter:
             line += f" | {self._workers_live} workers"
         extras = [(self._retries, "retries"), (self._respawns, "respawns"),
                   (self._fallbacks, "fallbacks"), (self._resumed, "resumed"),
-                  (self._requeued, "requeued"),
                   (self._worker_deaths, "worker deaths"),
                   (self._worker_stale, "stale")]
         for count, label in extras:

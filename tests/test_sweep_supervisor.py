@@ -21,7 +21,7 @@ from repro.core import backend
 from repro.core.backend import fabric_stats
 from repro.core.errors import PointFailure
 from repro.core.faults import ENV_HANG, ENV_VAR
-from repro.core.ledger import LeaseLedger
+from repro.core.ledger import LEDGER_NAME, Ledger, iter_records, pack_record
 from repro.core.run import RunConfig
 from repro.core.sweep import (
     SweepPoint,
@@ -31,6 +31,7 @@ from repro.core.sweep import (
     run_sweep,
     supervisor_stats,
 )
+from repro.obs import events as obs_events
 from repro.tpcd.scales import get_scale
 
 SCALE = "tiny"
@@ -152,36 +153,51 @@ def test_checkpoint_resume_skips_completed_points(tmp_path, serial3):
         assert again == serial3, jobs
         assert moved["resumed"] == 3 and moved["spawns"] == 0, jobs
     assert point_memo_stats()["misses"] == before_misses
-    with LeaseLedger(ckpt) as ledger:
-        assert len(ledger.completed) == 3 and not ledger.leases
+    # One record per point, ever: resumes append nothing.
+    with Ledger(ckpt) as ledger, open(ledger.path, "rb") as fh:
+        assert len(ledger.completed) == 3
+        assert len(list(iter_records(fh.read()))) == 3
 
 
 def test_stale_lease_is_requeued_exactly_once(tmp_path, serial3):
-    """A run interrupted mid-point leaves a claim whose holder is dead; the
-    resume re-queues it exactly once, recomputes it bit-identically, and a
-    further resume re-queues nothing."""
+    """A version-1 ledger as an interrupted earlier writer of the format
+    left it -- point 0 completed, point 1 claimed and heartbeating when its
+    driver died, point 2 abandoned after a failure -- resumes point 0 and
+    re-runs exactly the other two, once each and bit-identically; a second
+    resume re-runs nothing."""
     points = _points(3)
     keys = [_point_cache_key(p, get_scale(SCALE), 42) for p in points]
-    ckpt = str(tmp_path)
-    # The interrupt: point 0 completed, point 1 claimed by a driver whose
-    # pid no longer exists (run_sweep seeds 42 by default).
-    with LeaseLedger(ckpt) as ledger:
-        ledger.complete(keys[0], serial3[points[0].key], worker="w0")
-        ledger.claim(keys[1], "w1", pid=2 ** 22 + 999)
+    records = [
+        {"op": "complete", "key": keys[0], "worker": "w0", "t": 1.0,
+         "summary": serial3[points[0].key]},
+        {"op": "claim", "key": keys[1], "worker": "w1",
+         "pid": 2 ** 22 + 999, "t": 2.0, "ttl": 30.0},
+        {"op": "heartbeat", "key": keys[1], "worker": "w1", "t": 3.0},
+        {"op": "abandon", "key": keys[2], "worker": "w1", "t": 4.0,
+         "reason": "PointTimeout"},
+    ]
+    (tmp_path / LEDGER_NAME).write_bytes(
+        b"".join(pack_record(r) for r in records))
+    ran = []
 
-    result, moved = _sweep(points, checkpoint_dir=ckpt)
-    assert result == serial3
-    assert moved["requeued"] == 1 and moved["resumed"] == 1
-    assert moved["spawns"] == 2
+    def count_runs(kind, _detail):
+        if kind == "point.done":
+            ran.append(kind)
 
-    # Exactly once: the reclaim was durable, a second resume finds all
-    # three points completed and nothing stale.
-    result, moved = _sweep(points, checkpoint_dir=ckpt)
-    assert result == serial3
-    assert moved["requeued"] == 0 and moved["resumed"] == 3
-    with LeaseLedger(ckpt) as ledger:
-        assert not ledger.leases
-        assert all(ledger.get(k) is not None for k in keys)
+    obs_events.subscribe(count_runs)
+    try:
+        result, moved = _sweep(points, checkpoint_dir=str(tmp_path))
+        assert result == serial3
+        assert moved["resumed"] == 1 and moved["spawns"] == 2
+        assert len(ran) == len(points) - moved["resumed"]
+
+        ran.clear()
+        result, moved = _sweep(points, checkpoint_dir=str(tmp_path))
+        assert result == serial3
+        assert moved["resumed"] == 3 and moved["spawns"] == 0
+        assert not ran
+    finally:
+        obs_events.unsubscribe(count_runs)
 
 
 _UNGUARDED_SCRIPT = textwrap.dedent("""

@@ -33,12 +33,13 @@ from repro.core.errors import (
     is_retryable,
 )
 from repro.core.faults import ENV_VAR
-from repro.core.ledger import LeaseLedger
+from repro.core.ledger import LEDGER_NAME, Ledger, pack_record
 from repro.core.run import RunConfig
 from repro.core.sweep import (
     SweepPoint,
     _point_cache_key,
     clear_variant_cache,
+    point_memo_stats,
     run_sweep,
     supervisor_stats,
 )
@@ -213,10 +214,9 @@ def test_workers_backend_matches_serial(tmp_path, serial3):
     assert moved["corrupt_frames"] == 0
     # A clean sweep replaces no worker: the first wave is not a respawn.
     assert moved["respawns"] == moved["deaths"] == moved["degraded"] == 0
-    # The ledger holds every summary, compacted, no leases left.
-    with LeaseLedger(tmp_path / "ckpt") as ledger:
+    # The ledger holds every summary.
+    with Ledger(tmp_path / "ckpt") as ledger:
         assert len(ledger.completed) == 3
-        assert not ledger.leases
 
 
 def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):
@@ -241,40 +241,39 @@ def test_workers_backend_seeded_chaos_is_bit_identical(
 
 def test_stale_lease_requeued_exactly_once_on_resume(tmp_path, serial3):
     """The serial cell of the supervisor matrix's stale-lease case: the
-    resume itself (reclaim, requeue exactly once, a further resume
-    re-queues nothing) happens in ``run_sweep``, transport or no."""
+    resume itself happens in ``run_sweep``, transport or no.  A claimed,
+    heartbeating point in a version-1 ledger is not finished, so it runs
+    exactly once; a further resume runs nothing."""
     points = _points(3)
-    scale = get_scale(SCALE)
+    keys = [_point_cache_key(p, get_scale(SCALE), 42) for p in points]
     ckpt = tmp_path / "ckpt"
-    keys = [_point_cache_key(p, scale, 42) for p in points]
+    ckpt.mkdir()
+    records = [
+        {"op": "complete", "key": keys[0], "worker": "w0", "t": 1.0,
+         "summary": serial3[points[0].key]},
+        {"op": "claim", "key": keys[1], "worker": "w1",
+         "pid": 2 ** 22 + 999, "t": 2.0, "ttl": 30.0},
+        {"op": "heartbeat", "key": keys[1], "worker": "w1", "t": 3.0},
+    ]
+    (ckpt / LEDGER_NAME).write_bytes(b"".join(pack_record(r) for r in records))
+    config = RunConfig(scale=SCALE, checkpoint_dir=str(ckpt))
 
-    # Simulate the interrupt: point 0 completed, point 1 claimed by a
-    # worker whose pid no longer exists (run_sweep seeds 42 by default).
-    with LeaseLedger(ckpt) as ledger:
-        ledger.complete(keys[0], serial3[points[0].key], worker="w0")
-        ledger.claim(keys[1], "w1", pid=2 ** 22 + 999)
+    def resume():
+        clear_variant_cache()
+        before = {**supervisor_stats(), **point_memo_stats()}
+        result = run_sweep(points, scale=SCALE, config=config)
+        after = {**supervisor_stats(), **point_memo_stats()}
+        return result, {k: after[k] - before[k] for k in ("resumed", "misses")}
 
-    before = supervisor_stats()
-    clear_variant_cache()
-    result = run_sweep(points, scale=SCALE,
-                       config=RunConfig(scale=SCALE, checkpoint_dir=str(ckpt)))
-    after = supervisor_stats()
+    result, moved = resume()
     assert result == serial3
-    assert after["requeued"] - before["requeued"] == 1
-    assert after["resumed"] - before["resumed"] == 1
+    assert moved["resumed"] == 1
+    assert moved["misses"] == len(points) - moved["resumed"]
 
-    # Exactly once: the reclaim was durable, a second resume finds all
-    # three points completed and nothing stale.
-    clear_variant_cache()
-    result2 = run_sweep(points, scale=SCALE,
-                        config=RunConfig(scale=SCALE,
-                                         checkpoint_dir=str(ckpt)))
-    final = supervisor_stats()
-    assert result2 == serial3
-    assert final["requeued"] == after["requeued"]
-    assert final["resumed"] - after["resumed"] == 3
-    with LeaseLedger(ckpt) as ledger:
-        assert not ledger.leases
+    result, moved = resume()
+    assert result == serial3
+    assert moved["resumed"] == 3 and moved["misses"] == 0
+    with Ledger(ckpt) as ledger:
         assert all(ledger.get(k) is not None for k in keys)
 
 
@@ -284,9 +283,9 @@ def test_interrupted_workers_ledger_resumes_in_process(tmp_path, serial3):
     points = _points(2)
     scale = get_scale(SCALE)
     ckpt = tmp_path / "ckpt"
-    with LeaseLedger(ckpt) as ledger:
+    with Ledger(ckpt) as ledger:
         ledger.complete(_point_cache_key(points[0], scale, 42),
-                        serial3[points[0].key], worker="w0")
+                        serial3[points[0].key])
     clear_variant_cache()
     result = run_sweep(points, scale=SCALE,
                        config=RunConfig(scale=SCALE,

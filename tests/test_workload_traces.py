@@ -3,9 +3,8 @@ record/replay bit-identity, store round-trips, and backend invariance.
 
 These are the acceptance tests of the workload generator: a seeded
 scenario (update traffic included) must produce the identical summary
-whether it runs in-process, on a process pool, on the lease-based worker
-fabric, or replayed from the persistent trace store in a process that
-never saw the spec.
+whether it runs in-process, on the sweep workers, or replayed from the
+persistent trace store in a process that never saw the spec.
 """
 
 import gc
