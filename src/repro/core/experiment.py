@@ -102,11 +102,11 @@ def trace_cache_stats():
     variants, so ``repro-experiments --time`` can report trace traffic for
     the whole process in one line.  ``events``/``source_events``/``bytes``
     include traces a sweep has since released (counted by ``released``);
-    ``plan_bytes`` covers the live traces' batch plans only.
+    ``live_events`` and ``plan_bytes`` cover the live traces only.
     """
     totals = {"traces": 0, "released": 0, "events": 0, "source_events": 0,
-              "bytes": 0, "plan_bytes": 0, "hits": 0, "records": 0, "loads": 0,
-              "bytes_read": 0, "bytes_written": 0}
+              "bytes": 0, "live_events": 0, "plan_bytes": 0, "hits": 0,
+              "records": 0, "loads": 0, "bytes_read": 0, "bytes_written": 0}
     for cache in _all_trace_caches():
         for name, value in cache.stats().items():
             totals[name] += value

@@ -8,15 +8,24 @@ trace generation (Mint) from memory-system analysis; this module does the
 same for the reproduction.
 
 A :class:`QueryTrace` stores one ``(qid, seed, node, arena_size)`` event
-stream in a compact columnar encoding -- four flat arrays plus an interned
-spinlock-name table -- with consecutive ``EV_BUSY`` and consecutive
-``EV_HIT`` events coalesced at record time.  Coalescing is exact: busy/hit
-events only advance the emitting processor's clock and add to additive
-counters, and the engine never emits them inside a spinlock critical
-section, so waiter-observed holder clocks are unchanged.  Spinlock *retry*
-logic lives in the interleaver (a contended acquire is re-dispatched from
-``pending``, never re-emitted by the stream), so replayed lock handoffs
-reproduce live coherence behaviour bit for bit.
+stream in a compact columnar encoding -- six typed ``array`` columns plus
+an interned spinlock-name table -- with consecutive ``EV_BUSY`` and
+consecutive ``EV_HIT`` events coalesced at record time.  Coalescing is
+exact: busy/hit events only advance the emitting processor's clock and
+add to additive counters, and the engine never emits them inside a
+spinlock critical section, so waiter-observed holder clocks are
+unchanged.  Spinlock *retry* logic lives in the interleaver (a contended
+acquire is re-dispatched from ``pending``, never re-emitted by the
+stream), so replayed lock handoffs reproduce live coherence behaviour bit
+for bit.
+
+Column widths: ``kinds`` and ``c`` are ``'b'`` (1 byte); ``a``, ``b``,
+``d`` and ``e`` start as 32-bit unsigned ``'I'``, 18 bytes per row in
+all.  Addresses (the private arenas end below 2**32), sizes, cycle runs
+and hit counts almost always fit; the encoder widens a column to ``'q'``
+at the first value that does not (``d`` and ``e`` together), so a trace
+may mix widths -- as may one loaded from a store written with 64-bit
+columns -- and every reader takes each column's own ``typecode``.
 
 Result rows are captured at record time, so replayed workloads still
 populate ``WorkloadResult.rows_per_cpu``.  Encoding is incremental
@@ -44,6 +53,9 @@ from repro.obs.metrics import registry
 from repro.obs.spans import span
 from repro.tpcd.queries import query_instance
 from repro.tpcd.scales import get_scale
+
+#: Exclusive bound of an ``'I'`` column value.
+_U32 = 1 << 32
 
 
 class QueryTrace:
@@ -79,11 +91,11 @@ class QueryTrace:
 
     def __init__(self):
         self.kinds = array("b")
-        self.a = array("q")
-        self.b = array("q")
+        self.a = array("I")
+        self.b = array("I")
         self.c = array("b")
-        self.d = array("l")
-        self.e = array("l")
+        self.d = array("I")
+        self.e = array("I")
         self.lock_ids = []
         self.rows = None
         self.n_source_events = 0
@@ -123,12 +135,10 @@ class QueryTrace:
         return n + self._rows_nbytes
 
     def plan_nbytes(self):
-        """Bytes held by the memoized batch-plan arrays (diagnostics);
-        numpy views over the trace's own columns are not counted."""
+        """Bytes held by the memoized batch-plan arrays (diagnostics)."""
         arrays = [*(self._batch_base or ()),
                   *(p.mem_lines for p in self._batch_plans.values())]
-        return sum(arr.itemsize * len(arr) for arr in arrays
-                   if getattr(arr, "base", None) is None)
+        return sum(arr.itemsize * len(arr) for arr in arrays)
 
     def extend(self, gen):
         """Encode ``gen``'s events onto this trace; return its return value.
@@ -138,6 +148,10 @@ class QueryTrace:
         ``EV_BUSY`` (or ``EV_HIT``) events are merged into one row.  Both
         depend only on the last row's kind, so a stream fed in pieces (one
         per scenario operation) encodes exactly as its concatenation.
+
+        A value that overflows a 32-bit column widens that column to
+        ``'q'`` (:meth:`_widen`) and the event is encoded again; the fast
+        path never checks a range itself, and nothing re-scans the trace.
         """
         kinds = self.kinds
         a = self.a
@@ -166,12 +180,12 @@ class QueryTrace:
                     if k == last_mergeable:
                         a[-1] += ev[1]
                         continue
-                    kinds.append(k)
                     a.append(ev[1])
                     b.append(0)
                     c.append(0)
                     d.append(0)
                     e.append(0)
+                    kinds.append(k)
                     last_mergeable = k
                     continue
                 last_mergeable = -1
@@ -186,15 +200,59 @@ class QueryTrace:
                     fusable = False
                 else:
                     raise ValueError(f"unknown event kind {k!r}")
-                kinds.append(k)
                 a.append(x)
                 b.append(ev[2])
                 c.append(ev[3])
                 d.append(0)
                 e.append(0)
+                kinds.append(k)  # last: len(kinds) counts complete rows
         except StopIteration as stop:
             self.n_source_events = n
             return stop.value
+        except OverflowError as exc:
+            if exc.__traceback__.tb_next is not None:
+                raise  # raised inside ``gen``, not by a column write
+            # ``ev`` overflowed a column.  Appends put ``kinds`` last, so
+            # cutting the other columns to its length drops a partial
+            # row; an in-place ``+=`` that overflows never stored.
+            self.n_source_events = n - 1
+            for col in (a, b, c, d, e):
+                del col[len(kinds):]
+            if not self._widen(ev):
+                raise
+            return self.extend(_prepend(ev, gen))
+
+    def _widen(self, ev):
+        """Widen to ``'q'`` each ``'I'`` column that ``ev`` overflows when
+        encoded onto this trace; ``False`` if there is none.
+
+        ``d`` and ``e`` widen together: ``e`` counts the hits inside
+        ``d``'s cycles, so with non-negative counts ``e`` cannot overflow
+        before ``d`` does (a negative fused count that overflows is
+        refused, never half-applied).
+        """
+        k = ev[0]
+        last = self.kinds[-1] if self.kinds else -1
+        if k == EV_BUSY or k == EV_HIT:
+            if 0 <= last <= EV_WRITE:  # fused into the last row
+                if ev[1] < 0:
+                    return False
+                writes = [("d", self.d[-1] + ev[1])]
+            elif k == last:  # merged into the last standalone run
+                writes = [("a", self.a[-1] + ev[1])]
+            else:
+                writes = [("a", ev[1])]
+        elif k <= EV_WRITE:
+            writes = [("a", ev[1]), ("b", ev[2])]
+        else:  # lock events: ``a`` is a small lock-id index
+            writes = [("b", ev[2])]
+        widened = False
+        for name, value in writes:
+            if getattr(self, name).typecode == "I" and not 0 <= value < _U32:
+                for col in ("d", "e") if name == "d" else (name,):
+                    setattr(self, col, array("q", getattr(self, col)))
+                widened = True
+        return widened
 
     def replay(self, sink=None, node=None):
         """Generator re-emitting the recorded events as plain tuples.
@@ -221,6 +279,12 @@ class QueryTrace:
                 yield (k, lock_ids[x], y, z)
         if sink is not None:
             sink[node] = self.rows
+
+
+def _prepend(ev, gen):
+    """``ev``, then the rest of ``gen``; returns ``gen``'s return value."""
+    yield ev
+    return (yield from gen)
 
 
 def record(gen):
@@ -424,13 +488,14 @@ class TraceCache:
 
     def stats(self):
         """Live and ``released`` traces, their events and encoded bytes
-        (cumulative over both), the live traces' batch-plan bytes,
-        hit/record/load counters, store bytes."""
+        (cumulative over both), the live traces' events and batch-plan
+        bytes, hit/record/load counters, store bytes."""
         total = Counter(_sizes(self._traces.values()), released=0)
         total.update(self._released)
         return {
             "traces": len(self._traces),
             **total,
+            "live_events": sum(len(t) for t in self._traces.values()),
             "plan_bytes": sum(t.plan_nbytes() for t in self._traces.values()),
             "hits": self.hits,
             "records": self.records,

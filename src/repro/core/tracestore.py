@@ -15,15 +15,18 @@ File format (version |version|, little-endian)::
     bytes 8..11   header length H (u32)
     bytes 12..    header: UTF-8 JSON, H bytes
     rest          payload: the six columnar arrays back to back
-                  (``array.tobytes()``), then the pickled result rows
+                  (their raw buffers), then the pickled result rows
 
 The JSON header carries the identifying key ``(scale name, database seed,
 qid, query seed, node, arena size, lock_check_per_rescan)``, the typecode /
-itemsize / element count of every array (so a platform whose ``array``
-itemsizes differ is detected instead of mis-decoded), the interned lock-id
-table, and a CRC-32 of the payload.  Every anticipated failure -- missing
-file, truncation, bit flip, format-version bump, key collision, foreign
-itemsize -- surfaces as :class:`TraceStoreError`, which callers
+itemsize / element count of every array, the interned lock-id table, and a
+CRC-32 of the payload.  A platform whose ``array`` itemsizes differ is
+detected instead of mis-decoded, and each column loads at the width it was
+written with: 32-bit ``'I'`` from the encoder, ``'q'`` where it widened,
+``'q'``/``'l'`` in entries written before the encoder narrowed its
+columns.  Every anticipated failure -- missing file, truncation, bit flip,
+format-version bump, key collision, foreign itemsize or typecode --
+surfaces as :class:`TraceStoreError`, which callers
 (:class:`~repro.core.tracecache.TraceCache`) treat as "not stored": they
 fall back to re-recording, so a damaged store costs time, never
 correctness.
@@ -138,22 +141,26 @@ def encode_trace(key, trace):
     from repro.core.tracecache import QueryTrace  # noqa: F401  (doc anchor)
 
     rows_blob = pickle.dumps(trace.rows, protocol=pickle.HIGHEST_PROTOCOL)
-    chunks = [getattr(trace, name).tobytes() for name in _COLUMNS]
+    # The columns go into the blob straight from their buffers, at their
+    # own widths; the one join below is the only copy.
+    chunks = [getattr(trace, name) for name in _COLUMNS]
     chunks.append(rows_blob)
-    payload = b"".join(chunks)
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
     header = {
         "key": list(key),
         "arrays": [[name, arr.typecode, arr.itemsize, len(arr)]
-                   for name, arr in ((c, getattr(trace, c)) for c in _COLUMNS)],
+                   for name, arr in zip(_COLUMNS, chunks)],
         "lock_ids": list(trace.lock_ids),
         "n_source_events": trace.n_source_events,
         "rows_len": len(rows_blob),
-        "payload_len": len(payload),
-        "payload_crc": zlib.crc32(payload),
+        "payload_len": sum(memoryview(c).nbytes for c in chunks),
+        "payload_crc": crc,
     }
     header_blob = json.dumps(header, separators=(",", ":")).encode()
-    return _PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_blob)) \
-        + header_blob + payload
+    return b"".join([_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_blob)),
+                     header_blob, *chunks])
 
 
 def decode_trace(data, expect_key=None):
@@ -175,11 +182,11 @@ def decode_trace(data, expect_key=None):
         raise TraceStoreError(
             f"format version {version} (this writer is {FORMAT_VERSION})",
             cause="format")
-    body = data[_PREFIX.size:]
+    body = memoryview(data)[_PREFIX.size:]  # slices below copy nothing
     if len(body) < header_len:
         raise TraceStoreError("truncated header", cause="truncated")
     try:
-        header = json.loads(body[:header_len].decode())
+        header = json.loads(bytes(body[:header_len]).decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise TraceStoreError(f"undecodable header: {exc}",
                               cause="header") from None
@@ -209,7 +216,11 @@ def decode_trace(data, expect_key=None):
     trace = QueryTrace()
     offset = 0
     for name, typecode, itemsize, count in arrays:
-        arr = array(typecode)
+        try:
+            arr = array(typecode)  # each column at its stored width
+        except (TypeError, ValueError):
+            raise TraceStoreError(f"array {name!r}: bad typecode {typecode!r}",
+                                  cause="format") from None
         if arr.itemsize != itemsize:
             raise TraceStoreError(
                 f"array {name!r}: typecode {typecode!r} is {arr.itemsize} "

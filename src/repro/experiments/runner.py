@@ -35,6 +35,10 @@ def _fmt_bytes(n):
         n /= 1024
 
 
+def _per_row(nbytes, rows):
+    return f"{nbytes / rows:.1f} B/row" if rows else "- B/row"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         description="Reproduce the tables and figures of the HPCA 1997 "
@@ -225,7 +229,9 @@ def _print_timings(config, outcomes):
     print(f"  trace cache  hits={tc['hits']} records={tc['records']} "
           f"loads={tc['loads']} traces={tc['traces']} "
           f"released={tc['released']} ({_fmt_bytes(tc['bytes'])}, "
-          f"plans {_fmt_bytes(tc['plan_bytes'])})")
+          f"{_per_row(tc['bytes'], tc['events'])}; "
+          f"plans {_fmt_bytes(tc['plan_bytes'])}, "
+          f"{_per_row(tc['plan_bytes'], tc['live_events'])})")
     print(f"  trace store  read={_fmt_bytes(tc['bytes_read'])} "
           f"written={_fmt_bytes(tc['bytes_written'])}"
           + (f"  dir={config.trace_dir}" if config.trace_dir else ""))

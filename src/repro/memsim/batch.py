@@ -153,14 +153,15 @@ def machine_batch_reason(machine):
 class BatchPlan:
     """Precomputed inline-tier columns for one trace under one L1 line size.
 
-    ``mem_lines`` is the per-row tag column (``array('q')``): one entry
-    per trace row holding the primary-cache line tag of a single-line
-    read/write, or -1 for rows the dispatch loop must handle through its
-    scalar branches.  ``mcost``/``mreads`` ride along from
-    :func:`trace_base` (shift-independent, shared by every line size's
-    plan): the retire cost and ``l1_reads`` contribution of each
-    read/write row, precomputed so the inline paths never re-derive them
-    from size/inert/fused-hit columns.
+    ``mem_lines`` is the per-row tag column: one entry per trace row
+    holding the primary-cache line tag of a single-line read/write, or
+    -1 for rows the dispatch loop must handle through its scalar
+    branches (``array('i')``, or ``'q'`` when a tag reaches 2**31).
+    ``mcost``/``mreads`` ride along from :func:`trace_base`
+    (shift-independent, shared by every line size's plan): the retire
+    cost and ``l1_reads`` contribution of each read/write row,
+    precomputed so the inline paths never re-derive them from
+    size/inert/fused-hit columns.
     """
 
     __slots__ = ("mem_lines", "mcost", "mreads", "n_rows")
@@ -172,35 +173,49 @@ class BatchPlan:
         self.n_rows = n_rows
 
 
-def _np_column(arr, dtype):
-    """Zero-copy numpy view over a stdlib ``array`` column."""
+def _np_column(arr):
+    """Zero-copy numpy view over a stdlib ``array`` column, at the
+    column's own width (trace columns are ``'I'`` or ``'q'``, and a
+    store written with wider columns loads as it was written)."""
     if len(arr) == 0:
-        return _np.empty(0, dtype=dtype)
-    return _np.frombuffer(arr, dtype=dtype)
+        return _np.empty(0, dtype=arr.typecode)
+    return _np.frombuffer(arr, dtype=arr.typecode)
 
 
-def _to_array(typecode, values):
-    """A stdlib ``array`` copy of numpy ``values``, allocated at its exact
-    size (``frombytes`` would over-allocate by a sixteenth)."""
+def as_int64(arr):
+    """An int64 numpy array of a stdlib ``array`` column, for arithmetic:
+    a view when the column is already 64-bit, else a widening copy (so
+    ``addr + size - 1`` cannot wrap in uint32)."""
+    return _np_column(arr).astype(_np.int64, copy=False)
+
+
+def _to_array(values, narrow):
+    """A stdlib ``array`` copy of int64 numpy ``values``, typecode
+    ``narrow`` when every value fits it and ``'q'`` otherwise, allocated
+    at its exact size (``frombytes`` would over-allocate by a sixteenth).
+
+    The width comes from the data's range: assigning into a narrower
+    numpy view wraps silently.
+    """
+    typecode = narrow
+    if len(values):
+        info = _np.iinfo(narrow)
+        if values.min() < info.min or values.max() > info.max:
+            typecode = "q"
     out = array(typecode, [0]) * len(values)
-    _np_column(out, typecode)[:] = values
+    _np_column(out)[:] = values
     return out
 
 
 def trace_base(trace):
-    """The shift-independent plan arrays for ``trace``, memoized on it.
+    """The shift-independent plan columns for ``trace``, memoized on it.
 
-    Returns ``(addr, xorspan, mcost, mreads)``:
-
-    * ``addr`` -- the ``a`` column as int64 (byte address on memory rows);
-    * ``xorspan`` -- ``addr ^ (addr + size - 1)`` on EV_READ/EV_WRITE
-      rows, -1 on every other row: a row is a single-line access under
-      line shift ``s`` iff ``xorspan >> s == 0``;
-    * ``mcost`` / ``mreads`` -- ``array('l')`` per-row columns shared by
-      every line size's plan: the retire cost (1 cycle plus fused busy
-      cycles) and the ``l1_reads`` contribution (word count plus
-      fused-hit count for reads, fused-hit count alone for writes) of
-      each read/write row (stdlib, so the loop never sees numpy scalars).
+    Returns ``(mcost, mreads)``, per-row columns shared by every line
+    size's plan: the retire cost (1 cycle plus fused busy cycles) and
+    the ``l1_reads`` contribution (word count plus fused-hit count for
+    reads, fused-hit count alone for writes) of each read/write row.
+    Each is ``array('I')``, or ``'q'`` when a value reaches 2**32
+    (stdlib, so the loop never sees numpy scalars).
 
     The word count follows the scalar hot paths exactly: one reference
     per 4-byte word, minimum one (``1 if size <= 4 else (size+3) >> 2``).
@@ -208,18 +223,13 @@ def trace_base(trace):
     base = trace._batch_base
     if base is not None:
         return base
-    kinds = _np_column(trace.kinds, _np.int8)
-    addr = _np_column(trace.a, _np.int64)
-    size = _np_column(trace.b, _np.int64)
-    inert = _np_column(trace.d, _np.dtype("l"))
-    hits = _np_column(trace.e, _np.dtype("l"))
+    kinds = _np_column(trace.kinds)
     memread = kinds == 0
     memrw = memread | (kinds == 1)
-    words = _np.maximum((size + 3) >> 2, 1)
-    xorspan = _np.where(memrw, addr ^ (addr + size - 1), -1)
-    mcost = _to_array("l", _np.where(memrw, 1 + inert, 0))
-    mreads = _to_array("l", hits + _np.where(memread, words, 0))
-    base = (addr, xorspan, mcost, mreads)
+    words = _np.maximum((as_int64(trace.b) + 3) >> 2, 1)
+    mcost = _to_array(_np.where(memrw, 1 + as_int64(trace.d), 0), "I")
+    mreads = _to_array(as_int64(trace.e) + _np.where(memread, words, 0), "I")
+    base = (mcost, mreads)
     trace._batch_base = base
     return base
 
@@ -231,7 +241,9 @@ def trace_plan(trace, l1_shift):
     single-line (under ``l1_shift``) EV_READ/EV_WRITE row with its
     primary-cache line; everything else -- line-crossing accesses, lock
     events, busy/hit rows -- carries -1 and dispatches through the
-    engine's scalar branches.
+    engine's scalar branches.  A row is single-line iff
+    ``(addr ^ (addr + size - 1)) >> l1_shift == 0``, recomputed from the
+    trace's columns per line size rather than kept between plans.
     """
     if not HAVE_NUMPY:
         return None
@@ -239,9 +251,12 @@ def trace_plan(trace, l1_shift):
     plan = plans.get(l1_shift)
     if plan is not None:
         return plan
-    addr, xorspan, mcost, mreads = trace_base(trace)
-    single = (xorspan >> l1_shift) == 0
-    mem_lines = _to_array("q", _np.where(single, addr >> l1_shift, -1))
+    mcost, mreads = trace_base(trace)
+    kinds = _np_column(trace.kinds)
+    addr = as_int64(trace.a)
+    xorspan = addr ^ (addr + as_int64(trace.b) - 1)
+    single = ((kinds == 0) | (kinds == 1)) & ((xorspan >> l1_shift) == 0)
+    mem_lines = _to_array(_np.where(single, addr >> l1_shift, -1), "i")
     plan = BatchPlan(mem_lines, mcost, mreads, len(mem_lines))
     if len(plans) >= PLAN_MEMO:
         plans.pop(next(iter(plans)))

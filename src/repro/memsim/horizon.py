@@ -50,6 +50,8 @@ try:
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
+from repro.memsim.batch import as_int64
+
 #: Minimum region length (rows to the next boundary) worth a retire-ahead
 #: pass.  Below it, the pass's setup (guard probes, virtual-clock list,
 #: the stepped virtual windows that follow) costs more than the
@@ -114,10 +116,8 @@ def _line_span(trace, l2_shift):
     """
     kinds = _np.frombuffer(trace.kinds, dtype=_np.int8) if len(trace) \
         else _np.empty(0, dtype=_np.int8)
-    a = _np.frombuffer(trace.a, dtype=_np.int64) if len(trace) \
-        else _np.empty(0, dtype=_np.int64)
-    b = _np.frombuffer(trace.b, dtype=_np.int64) if len(trace) \
-        else _np.empty(0, dtype=_np.int64)
+    a = as_int64(trace.a)
+    b = as_int64(trace.b)
     mem = kinds <= 1
     lock = kinds >= 3
     addr = _np.where(lock, b, a)

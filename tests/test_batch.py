@@ -235,6 +235,49 @@ def test_aliasing_workloads_identical(per_cpu):
     assert_kernels_agree(per_cpu)
 
 
+def _wide_event_strategy():
+    """Events whose values overflow the encoder's 32-bit columns.
+
+    Addresses reach 2**40, either drawn at random or from a few high
+    lines every CPU shares, placed 2**39 above the low lines so that a
+    line tag wrapped to 32 bits aliases a low line's tag; lock words sit
+    above 2**32.  A numpy view or plan column that wraps silently
+    changes the replay.
+    """
+    line = CONFIG.l1_line
+    addr = st.one_of(
+        st.integers(0, 15).map(lambda i: i * 8),
+        st.integers(0, 15).map(lambda i: (1 << 39) + i * 8),
+        st.integers(0, 1 << 40),
+    )
+    size = st.sampled_from([1, 4, 8, 24, 100])
+    cls = st.integers(0, 8)
+    return st.one_of(
+        st.tuples(st.just(EV_READ), addr, size, cls),
+        st.tuples(st.just(EV_WRITE), addr, size, cls),
+        st.tuples(st.just(EV_BUSY), st.integers(1, 30)),
+        st.tuples(st.just(EV_HIT), st.integers(1, 10)),
+        st.tuples(st.just("LOCKED"), st.sampled_from(["a", "b"]),
+                  st.integers(0, 3).map(lambda i: (1 << 33) + i * line)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_workload(_wide_event_strategy()), st.integers(0, 79))
+def test_wide_value_workloads_identical(per_cpu, at):
+    """Addresses up to 2**40 and one fused busy run of 2**32 cycles
+    (behind a single-line read, so it retires through the plan's
+    ``mcost``): the encoder widens those columns, and every kernel still
+    agrees."""
+    events = per_cpu[0]
+    at = min(at, len(events))
+    events[at:at] = [(EV_READ, 1 << 40, 8, 1), (EV_READ, 64, 4, 1),
+                     (EV_BUSY, 1 << 32)]
+    trace = make_trace(events)
+    assert trace.a.typecode == trace.d.typecode == trace.e.typecode == "q"
+    assert_kernels_agree(per_cpu)
+
+
 # -- the planner -----------------------------------------------------------------
 
 
@@ -260,6 +303,29 @@ def test_plan_tags_single_line_rows():
     assert plan.mem_lines[5] == 64 >> shift
     assert plan.mem_lines[6] == -1           # lock release
     assert plan.n_rows == len(trace)
+
+
+@needs_numpy
+def test_plan_columns_are_as_narrow_as_their_values():
+    """Plan columns take the narrowest width their values fit: 32 bits
+    for ordinary traces, 64 where a tag or a cost does not fit, never
+    a silently wrapped value."""
+    shift = CONFIG.l1_line.bit_length() - 1
+    narrow = trace_plan(make_trace([(EV_READ, 64, 4, 1), (EV_BUSY, 3)]),
+                        shift)
+    assert (narrow.mem_lines.typecode, narrow.mcost.typecode,
+            narrow.mreads.typecode) == ("i", "I", "I")
+    assert (list(narrow.mem_lines), list(narrow.mcost)) == ([64 >> shift],
+                                                            [4])
+    addr = 1 << 40
+    wide = trace_plan(make_trace([(EV_READ, addr, 4, 1),
+                                  (EV_HIT, 1 << 32), (EV_WRITE, 8, 4, 1)]),
+                      shift)
+    assert (wide.mem_lines.typecode, wide.mcost.typecode,
+            wide.mreads.typecode) == ("q", "q", "q")
+    assert list(wide.mem_lines) == [addr >> shift, 8 >> shift]
+    assert list(wide.mcost) == [1 + (1 << 32), 1]
+    assert list(wide.mreads) == [1 + (1 << 32), 0]
 
 
 @needs_numpy

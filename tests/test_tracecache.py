@@ -176,30 +176,34 @@ def _fresh_copy(trace):
 
 def test_replay_retains_less_than_the_encoded_trace():
     """Replay keeps no per-row Python objects: what the first replay
-    leaves on its traces (batch plans included) costs fewer bytes per row
-    than the encoded trace itself.  A boxed list view of the columns or a
-    list-typed plan column costs several times that and fails here.  Runs
-    under the process-default kernel (the CI kernel passes cover each);
-    tracing every allocation makes this replay ~50x slower than usual."""
-    if resolve_kernel() == "horizon":
+    leaves on a trace is its batch plan at rest, 12 B/row under the
+    batched kernel (``mem_lines`` ``'i'`` plus ``mcost``/``mreads``
+    ``'I'``) and nothing under scalar.  A list-typed plan column, or
+    64-bit ``mcost``/``mreads`` (20 B/row), fails here.  Runs under the
+    process-default kernel (the CI kernel passes cover each) on one
+    trace: tracing every allocation makes replay ~50x slower."""
+    kernel = resolve_kernel()
+    if kernel == "horizon":
         pytest.skip("horizon schedules keep per-row stop lists by design")
     scale = get_scale(SCALE)
     cache = workload_trace_cache(SCALE)
-    traces = [_fresh_copy(cache.get("Q6", i, i, arena_size=scale.arena_size))
-              for i in range(4)]
-    rows = sum(len(t) for t in traces)
-    encoded_per_row = sum(t.nbytes() for t in traces) / rows
+    trace = _fresh_copy(cache.get("Q6", 0, 0, arena_size=scale.arena_size))
+    rows = len(trace)
+    assert trace.nbytes() / rows < 19  # 18 B/row of 32-bit columns
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         machine = NumaMachine(scale.machine_config(), home_fn=shared_home_fn())
-        Interleaver(machine).run_traces(traces)
+        Interleaver(machine).run_traces([trace])
         del machine
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained / rows < encoded_per_row
+    if kernel == "batched":
+        assert 12 <= retained / rows < 13
+    else:
+        assert retained / rows < 1
 
 
 def test_sweep_point_summaries_match_workload():
@@ -253,9 +257,13 @@ def _stream(events, rows=None):
     return rows
 
 
+def _widths(trace):
+    return "".join(getattr(trace, col).typecode for col in "abde")
+
+
 def _encoded(trace):
     return (trace.kinds, trace.a, trace.b, trace.c, trace.d, trace.e,
-            trace.lock_ids, trace.rows, trace.n_source_events)
+            _widths(trace), trace.lock_ids, trace.rows, trace.n_source_events)
 
 
 def _record_in_pieces(pieces, rows=None):
@@ -314,6 +322,34 @@ def test_lock_event_at_a_cut_clears_fusable():
     assert list(trace.kinds) == [EV_READ, EV_LOCK_REL, EV_BUSY, EV_LOCK_ACQ]
     assert list(trace.d) == [0, 0, 0, 0]
     assert trace.lock_ids == ["lk"] and list(trace.a)[1::2] == [0, 0]
+
+
+def test_a_value_past_32_bits_widens_only_its_column():
+    trace = QueryTrace()
+    trace.extend(_stream([(EV_READ, 64, 4, 1), (EV_BUSY, 7)]))
+    assert _widths(trace) == "IIII"
+    trace.extend(_stream([(EV_READ, 1 << 40, 4, 1)]))
+    assert _widths(trace) == "qIII"
+    trace.extend(_stream([(EV_HIT, 1 << 32), (EV_LOCK_ACQ, "lk", 1 << 35, 0),
+                          (EV_BUSY, 1 << 32), (EV_BUSY, 1 << 32)]))
+    assert _widths(trace) == "qqqq"
+    assert list(trace.kinds) == [EV_READ, EV_READ, EV_LOCK_ACQ, EV_BUSY]
+    assert list(trace.a) == [64, 1 << 40, 0, 1 << 33]
+    assert list(trace.b) == [4, 4, 1 << 35, 0]
+    assert (list(trace.d), list(trace.e)) == ([7, 1 << 32, 0, 0],
+                                              [0, 1 << 32, 0, 0])
+    assert trace.n_source_events == 7
+
+
+def test_overflow_raised_by_the_stream_propagates():
+    def stream():
+        yield (EV_READ, 64, 4, 1)
+        raise OverflowError("from the engine")
+
+    trace = QueryTrace()
+    with pytest.raises(OverflowError, match="from the engine"):
+        trace.extend(stream())
+    assert list(trace.a) == [64] and trace.a.typecode == "I"
 
 
 def test_unknown_event_kind_raises():

@@ -10,12 +10,13 @@ import os
 import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 from repro.core.errors import TraceStoreWarning
 from repro.core.experiment import workload_trace_cache
-from repro.core.tracecache import TraceCache
+from repro.core.tracecache import QueryTrace, TraceCache
 from repro.core.tracestore import (
     FORMAT_VERSION,
     MAGIC,
@@ -32,6 +33,11 @@ from repro.core.tracestore import (
     stored_key,
     trace_filename,
 )
+from repro.db.shmem import shared_home_fn
+from repro.memsim.batch import HAVE_NUMPY
+from repro.memsim.interleave import Interleaver
+from repro.memsim.numa import NumaMachine
+from repro.memsim.stats import MachineStats
 from repro.tpcd.queries import QUERY_IDS
 from repro.tpcd.scales import get_scale
 
@@ -76,6 +82,50 @@ def test_save_load_round_trip(tmp_path):
     loaded, nbytes = load_trace(tmp_path, key)
     assert nbytes == written
     assert_traces_equal(loaded, trace)
+
+
+def _wide_copy(trace):
+    """``trace`` with 64-bit ``a``/``b`` (``'q'``) and ``d``/``e``
+    (``'l'``) columns, the widths every store entry was written with
+    before the encoder narrowed them to 32 bits."""
+    wide = QueryTrace()
+    wide.kinds, wide.c = trace.kinds[:], trace.c[:]
+    wide.a, wide.b = array("q", trace.a), array("q", trace.b)
+    wide.d, wide.e = array("l", trace.d), array("l", trace.e)
+    wide.lock_ids = list(trace.lock_ids)
+    wide.rows = trace.rows
+    wide.n_source_events = trace.n_source_events
+    return wide
+
+
+def _replay(traces, kernel):
+    """Machine counters and per-CPU accounting of one replay."""
+    machine = NumaMachine(get_scale(SCALE).machine_config(),
+                          home_fn=shared_home_fn())
+    run = Interleaver(machine).run_traces(traces, kernel=kernel)
+    return ({name: getattr(machine.stats, name)
+             for name in MachineStats.__slots__},
+            [(s.busy, s.msync, list(s.mem_by_class), s.finish_time)
+             for s in run.cpu_stats])
+
+
+def test_wide_column_store_loads_and_replays_identically(tmp_path):
+    """An entry written with 64-bit columns loads at its stored widths
+    and replays bit-identically to the 32-bit recording under every
+    kernel: readers take each column's own typecode."""
+    narrow = [_trace("Q6", seed=i, node=i) for i in range(4)]
+    assert {narrow[0].a.typecode, narrow[0].d.typecode} == {"I"}
+    loaded = []
+    for i, trace in enumerate(narrow):
+        save_trace(tmp_path, _key("Q6", i, i), _wide_copy(trace))
+        wide, _ = load_trace(tmp_path, _key("Q6", i, i))
+        assert [getattr(wide, c).typecode for c in "abde"] == [
+            "q", "q", "l", "l"]
+        assert_traces_equal(wide, trace)
+        loaded.append(wide)
+    kernels = ["scalar"] + (["batched", "horizon"] if HAVE_NUMPY else [])
+    for kernel in kernels:
+        assert _replay(loaded, kernel) == _replay(narrow, kernel), kernel
 
 
 def test_stored_key_peek_and_filename():
@@ -134,9 +184,11 @@ def test_read_through_loads_instead_of_recording(tmp_path):
     assert_traces_equal(loaded, trace)
 
 
-@pytest.mark.parametrize("damage", ["truncate", "flip", "version"])
+@pytest.mark.parametrize("damage", ["truncate", "flip", "version",
+                                    "typecode"])
 def test_damaged_store_entry_falls_back_to_recording(tmp_path, damage):
-    """A truncated, bit-flipped, or version-bumped file re-records cleanly."""
+    """A truncated, bit-flipped, version-bumped, or unknown-typecode file
+    re-records cleanly."""
     first = _fresh_cache(tmp_path)
     trace = first.get("Q6", 0, 0)
 
@@ -146,6 +198,8 @@ def test_damaged_store_entry_falls_back_to_recording(tmp_path, damage):
         blob = blob[:len(blob) // 3]
     elif damage == "flip":
         blob[len(blob) - 7] ^= 0x01
+    elif damage == "typecode":  # the header is outside the payload CRC
+        blob = bytearray(blob.replace(b'["a","I"', b'["a","Z"', 1))
     else:
         struct.pack_into("<I", blob, 4, FORMAT_VERSION + 1)
     path.write_bytes(bytes(blob))
