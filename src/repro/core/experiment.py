@@ -134,27 +134,6 @@ def clear_caches():
     clear_scenarios()
 
 
-def _resolve_trace_cache(trace_cache, scale, db):
-    """Normalize the ``trace_cache=`` argument of the workload runners.
-
-    ``True`` selects the shared per-scale cache (and implies its database);
-    a :class:`TraceCache` instance is used as given.  Returns
-    ``(trace_cache_or_None, db_or_None)``: with a trace cache and no
-    explicit database, ``db`` stays ``None`` -- replay needs no database
-    object (NUMA placement is pure address arithmetic), and resolving one
-    here would defeat the lazy database behind a store-warmed cache.
-    """
-    if trace_cache is None:
-        return None, db or workload_database(scale)
-    if trace_cache is True:
-        shared = workload_trace_cache(scale)
-        if db is not None and db is not shared.db:
-            trace_cache = TraceCache(db, scale)
-        else:
-            trace_cache = shared
-    return trace_cache, db
-
-
 class WorkloadResult:
     """Everything one simulated workload produced."""
 
@@ -197,43 +176,33 @@ def _instances(qid, n_procs, seed_base):
 
 
 def run_query_workload(qid, scale="small", machine_config=None, n_procs=4,
-                       seed_base=0, db=None, prefetch=False,
-                       trace_cache=None):
+                       seed_base=0, db=None, prefetch=False):
     """Run one query type on every processor; return a WorkloadResult.
 
     ``machine_config`` defaults to the scale's baseline; ``prefetch``
     switches on the section-6 sequential prefetcher for database data.
-    ``trace_cache`` replays recorded event streams instead of re-executing
-    the engine (``True`` for the shared per-scale cache, or a
-    :class:`~repro.core.tracecache.TraceCache`); the simulation output is
-    bit-identical to a live run.
+    Sweeps replay the same streams from a shared trace cache instead
+    (:func:`workload_trace_cache`); the simulation output is identical.
     """
     scale = get_scale(scale)
-    trace_cache, db = _resolve_trace_cache(trace_cache, scale, db)
+    db = db or workload_database(scale)
     cfg = machine_config or scale.machine_config()
     if prefetch:
         cfg = cfg.replace(prefetch_data=True)
     machine = NumaMachine(cfg, home_fn=shared_home_fn())
     sink = {}
-    if trace_cache is not None:
-        streams = [
-            trace_cache.stream(qid, seed_base + i, i,
-                               arena_size=scale.arena_size, sink=sink)
-            for i in range(n_procs)
-        ]
-    else:
-        backends = [db.backend(i, arena_size=scale.arena_size)
-                    for i in range(n_procs)]
-        streams = [
-            _query_stream(db, backends[i], qi.sql, qi.hints, sink)
-            for i, qi in enumerate(_instances(qid, n_procs, seed_base))
-        ]
+    backends = [db.backend(i, arena_size=scale.arena_size)
+                for i in range(n_procs)]
+    streams = [
+        _query_stream(db, backends[i], qi.sql, qi.hints, sink)
+        for i, qi in enumerate(_instances(qid, n_procs, seed_base))
+    ]
     run = Interleaver(machine).run(streams)
     return WorkloadResult(qid, scale, machine, run, sink)
 
 
 def run_mixed_workload(qids, scale="small", machine_config=None, db=None,
-                       seed_base=0, trace_cache=None):
+                       seed_base=0):
     """Run a heterogeneous workload: processor *i* runs query ``qids[i]``.
 
     The paper's parallel programming model is inter-query parallelism where
@@ -242,50 +211,33 @@ def run_mixed_workload(qids, scale="small", machine_config=None, db=None,
     :func:`run_query_workload`).  A processor may also run a *stream*: pass
     a list of query ids for that slot and they execute back to back on the
     same backend, with the query-lifetime heap released in between.
-
-    Replayed streams (``trace_cache=``) concatenate one trace per query:
-    a trace recorded on a fresh backend is identical to the live stream on
-    a reused backend because ``reset_heap`` restores the private address
-    state a fresh backend starts with.
     """
     scale = get_scale(scale)
-    trace_cache, db = _resolve_trace_cache(trace_cache, scale, db)
+    db = db or workload_database(scale)
     cfg = machine_config or scale.machine_config()
     machine = NumaMachine(cfg, home_fn=shared_home_fn())
     sink = {}
+    backends = [db.backend(i, arena_size=scale.arena_size)
+                for i in range(len(qids))]
 
-    if trace_cache is not None:
-        def stream(i, spec):
-            queries = spec if isinstance(spec, (list, tuple)) else [spec]
-            results = []
-            for j, qid in enumerate(queries):
-                trace = trace_cache.get(qid, seed_base + i + 10 * j, i,
-                                        arena_size=scale.arena_size)
-                yield from trace.replay()
-                results.append(trace.rows)
-            sink[i] = results if isinstance(spec, (list, tuple)) else results[0]
-    else:
-        backends = [db.backend(i, arena_size=scale.arena_size)
-                    for i in range(len(qids))]
+    def slot_stream(i, spec):
+        backend = backends[i]
+        queries = spec if isinstance(spec, (list, tuple)) else [spec]
+        results = []
+        for j, qid in enumerate(queries):
+            qi = query_instance(qid, seed=seed_base + i + 10 * j)
+            rows = yield from db.execute(qi.sql, backend, hints=qi.hints)
+            results.append(rows)
+            backend.priv.reset_heap()
+        sink[i] = results if isinstance(spec, (list, tuple)) else results[0]
 
-        def stream(i, spec):
-            backend = backends[i]
-            queries = spec if isinstance(spec, (list, tuple)) else [spec]
-            results = []
-            for j, qid in enumerate(queries):
-                qi = query_instance(qid, seed=seed_base + i + 10 * j)
-                rows = yield from db.execute(qi.sql, backend, hints=qi.hints)
-                results.append(rows)
-                backend.priv.reset_heap()
-            sink[i] = results if isinstance(spec, (list, tuple)) else results[0]
-
-    run = Interleaver(machine).run([stream(i, q) for i, q in enumerate(qids)])
+    run = Interleaver(machine).run(
+        [slot_stream(i, q) for i, q in enumerate(qids)])
     return WorkloadResult(tuple(qids), scale, machine, run, sink)
 
 
 def run_warm_workload(measure_qid, warm_qid=None, scale="small",
-                      machine_config=None, n_procs=4, db=None,
-                      trace_cache=None):
+                      machine_config=None, n_procs=4, db=None):
     """Figure-12 style run: optionally warm the caches, then measure.
 
     The warm-up phase runs ``warm_qid`` (with different parameters) to
@@ -295,32 +247,23 @@ def run_warm_workload(measure_qid, warm_qid=None, scale="small",
     and then ``measure_qid`` runs with fresh statistics.
     """
     scale = get_scale(scale)
-    trace_cache, db = _resolve_trace_cache(trace_cache, scale, db)
+    db = db or workload_database(scale)
     cfg = machine_config or scale.machine_config()
     machine = NumaMachine(cfg, home_fn=shared_home_fn())
     interleaver = Interleaver(machine)
+    backends = [db.backend(i, arena_size=scale.arena_size)
+                for i in range(n_procs)]
 
     def make_streams(qid, seed_base, sink):
-        if trace_cache is not None:
-            return [
-                trace_cache.stream(qid, seed_base + i, i,
-                                   arena_size=scale.arena_size, sink=sink)
-                for i in range(n_procs)
-            ]
         return [
             _query_stream(db, backends[i], qi.sql, qi.hints, sink)
             for i, qi in enumerate(_instances(qid, n_procs, seed_base))
         ]
 
-    if trace_cache is None:
-        backends = [db.backend(i, arena_size=scale.arena_size)
-                    for i in range(n_procs)]
-
     if warm_qid is not None:
         interleaver.run(make_streams(warm_qid, 100, {}))
-        if trace_cache is None:
-            for b in backends:
-                b.priv.reset_heap()
+        for b in backends:
+            b.priv.reset_heap()
 
     sink = {}
     run = interleaver.run(make_streams(measure_qid, 0, sink), reset_stats=True)

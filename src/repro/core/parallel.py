@@ -103,12 +103,13 @@ def run_intra_query_workload(sql, scale="small", db=None, n_procs=4,
                 for i in range(n_procs)]
     sink = {}
 
-    def stream(i):
+    def partition_stream(i):
         rows = yield from db.execute(partition_plan(plan, i, n_procs),
                                      backends[i])
         sink[i] = rows
 
-    run = Interleaver(machine).run([stream(i) for i in range(n_procs)])
+    run = Interleaver(machine).run(
+        [partition_stream(i) for i in range(n_procs)])
     partials = [sink[i][0] for i in range(n_procs) if sink[i]]
     combined = combine_partials(plan, partials)
     result = WorkloadResult(sql, scale, machine, run, sink)

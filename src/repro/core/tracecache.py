@@ -1,11 +1,12 @@
 """Trace record/replay cache: run each query once, simulate it many times.
 
 The reference stream a query emits is *machine-independent*: the engine
-never observes the simulated memory system (the interleaver only ever calls
-``next()`` on a stream), so the exact same event sequence drives every
-machine configuration of a sweep.  The paper's own methodology separates
-trace generation (Mint) from memory-system analysis; this module does the
-same for the reproduction.
+never observes the simulated memory system or clock, so the exact same
+event sequence drives every machine configuration of a sweep -- and
+:meth:`~repro.memsim.interleave.Interleaver.run` itself records its
+streams with :func:`record` before replaying them.  The paper's own
+methodology separates trace generation (Mint) from memory-system
+analysis; this module does the same for the reproduction.
 
 A :class:`QueryTrace` stores one ``(qid, seed, node, arena_size)`` event
 stream in a compact columnar encoding -- six typed ``array`` columns plus
@@ -15,9 +16,8 @@ exact: busy/hit events only advance the emitting processor's clock and
 add to additive counters, and the engine never emits them inside a
 spinlock critical section, so waiter-observed holder clocks are
 unchanged.  Spinlock *retry* logic lives in the interleaver (a contended
-acquire is re-dispatched from ``pending``, never re-emitted by the
-stream), so replayed lock handoffs reproduce live coherence behaviour bit
-for bit.
+acquire is re-dispatched, never re-emitted by the stream), so replayed
+lock handoffs are independent of when the stream was recorded.
 
 Column widths: ``kinds`` and ``c`` are ``'b'`` (1 byte); ``a``, ``b``,
 ``d`` and ``e`` start as 32-bit unsigned ``'I'``, 18 bytes per row in
@@ -254,31 +254,27 @@ class QueryTrace:
                 widened = True
         return widened
 
-    def replay(self, sink=None, node=None):
+    def replay(self):
         """Generator re-emitting the recorded events as plain tuples.
 
-        Tuples have the shapes of :mod:`repro.memsim.events`, so the
-        interleaver consumes a replay stream unchanged -- except fused
-        memory references, which extend the 4-tuple with their trailing
-        ``(inert cycles, hit count)`` and dispatch as one event.  When
-        ``sink`` is given, ``sink[node]`` is set to the recorded result
-        rows after the last event, mirroring the live ``_query_stream``
-        behaviour.
+        Every tuple has a shape of :mod:`repro.memsim.events`: a fused row
+        comes back as its reference followed by ``busy(d - e)`` and
+        ``hit(e)`` (each only when nonzero), so ``record(t.replay())``
+        encodes exactly like ``t``.
         """
         lock_ids = self.lock_ids
         for k, x, y, z, inert, hits in zip(self.kinds, self.a, self.b,
                                            self.c, self.d, self.e):
             if k <= EV_WRITE:  # EV_READ / EV_WRITE
-                if inert:
-                    yield (k, x, y, z, inert, hits)
-                else:
-                    yield (k, x, y, z)
+                yield (k, x, y, z)
+                if inert != hits:
+                    yield (EV_BUSY, inert - hits)
+                if hits:
+                    yield (EV_HIT, hits)
             elif k == EV_BUSY or k == EV_HIT:
                 yield (k, x)
             else:  # EV_LOCK_ACQ / EV_LOCK_REL
                 yield (k, lock_ids[x], y, z)
-        if sink is not None:
-            sink[node] = self.rows
 
 
 def _prepend(ev, gen):
@@ -463,11 +459,6 @@ class TraceCache:
             self.bytes_read += nbytes
             n += 1
         return n
-
-    def stream(self, qid, seed, node, arena_size=None, sink=None):
-        """A replay generator ready to hand to the interleaver as node's
-        processor stream."""
-        return self.get(qid, seed, node, arena_size).replay(sink=sink, node=node)
 
     # -- bookkeeping -----------------------------------------------------------
 

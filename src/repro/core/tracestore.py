@@ -13,14 +13,18 @@ File format (version |version|, little-endian)::
     bytes 0..3    magic  b"RPTR"
     bytes 4..7    format version (u32)
     bytes 8..11   header length H (u32)
-    bytes 12..    header: UTF-8 JSON, H bytes
+    bytes 12..15  CRC-32 of everything after the prefix (u32)
+    bytes 16..    header: UTF-8 JSON, H bytes
     rest          payload: the six columnar arrays back to back
                   (their raw buffers), then the pickled result rows
 
 The JSON header carries the identifying key ``(scale name, database seed,
 qid, query seed, node, arena size, lock_check_per_rescan)``, the typecode /
-itemsize / element count of every array, the interned lock-id table, and a
-CRC-32 of the payload.  A platform whose ``array`` itemsizes differ is
+itemsize / element count of every array and the interned lock-id table.
+The CRC covers header and payload alike: a flipped bit in a lock id would
+otherwise rename a lock and silently change the replay.  Version-1 entries,
+whose CRC covered only the payload, are refused like any other version
+and re-recorded.  A platform whose ``array`` itemsizes differ is
 detected instead of mis-decoded, and each column loads at the width it was
 written with: 32-bit ``'I'`` from the encoder, ``'q'`` where it widened,
 ``'q'``/``'l'`` in entries written before the encoder narrowed its
@@ -60,9 +64,9 @@ __all__ = [
 ]
 
 MAGIC = b"RPTR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_PREFIX = struct.Struct("<4sII")
+_PREFIX = struct.Struct("<4sIII")
 
 #: QueryTrace column attributes, in payload order.
 _COLUMNS = ("kinds", "a", "b", "c", "d", "e")
@@ -145,9 +149,6 @@ def encode_trace(key, trace):
     # own widths; the one join below is the only copy.
     chunks = [getattr(trace, name) for name in _COLUMNS]
     chunks.append(rows_blob)
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
     header = {
         "key": list(key),
         "arrays": [[name, arr.typecode, arr.itemsize, len(arr)]
@@ -156,11 +157,13 @@ def encode_trace(key, trace):
         "n_source_events": trace.n_source_events,
         "rows_len": len(rows_blob),
         "payload_len": sum(memoryview(c).nbytes for c in chunks),
-        "payload_crc": crc,
     }
     header_blob = json.dumps(header, separators=(",", ":")).encode()
-    return b"".join([_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_blob)),
-                     header_blob, *chunks])
+    crc = zlib.crc32(header_blob)
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return b"".join([_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_blob),
+                                  crc), header_blob, *chunks])
 
 
 def decode_trace(data, expect_key=None):
@@ -175,7 +178,7 @@ def decode_trace(data, expect_key=None):
     if len(data) < _PREFIX.size:
         raise TraceStoreError("blob shorter than the fixed prefix",
                               cause="truncated")
-    magic, version, header_len = _PREFIX.unpack_from(data)
+    magic, version, header_len, crc = _PREFIX.unpack_from(data)
     if magic != MAGIC:
         raise TraceStoreError(f"bad magic {magic!r}", cause="format")
     if version != FORMAT_VERSION:
@@ -197,21 +200,20 @@ def decode_trace(data, expect_key=None):
         n_source_events = header["n_source_events"]
         rows_len = header["rows_len"]
         payload_len = header["payload_len"]
-        payload_crc = header["payload_crc"]
     except (KeyError, TypeError) as exc:
         raise TraceStoreError(f"malformed header: {exc}",
                               cause="header") from None
-    if expect_key is not None and key != tuple(expect_key):
-        raise TraceStoreError(
-            f"stored key {key!r} does not match expected {tuple(expect_key)!r}",
-            cause="key")
     payload = body[header_len:]
     if len(payload) != payload_len:
         raise TraceStoreError(
             f"payload is {len(payload)} bytes, header says {payload_len}",
             cause="truncated")
-    if zlib.crc32(payload) != payload_crc:
-        raise TraceStoreError("payload checksum mismatch", cause="checksum")
+    if zlib.crc32(body) != crc:
+        raise TraceStoreError("checksum mismatch", cause="checksum")
+    if expect_key is not None and key != tuple(expect_key):
+        raise TraceStoreError(
+            f"stored key {key!r} does not match expected {tuple(expect_key)!r}",
+            cause="key")
 
     trace = QueryTrace()
     offset = 0
@@ -249,7 +251,7 @@ def stored_key(data):
     if len(data) < _PREFIX.size:
         raise TraceStoreError("blob shorter than the fixed prefix",
                               cause="truncated")
-    magic, version, header_len = _PREFIX.unpack_from(data)
+    magic, version, header_len, _ = _PREFIX.unpack_from(data)
     if magic != MAGIC:
         raise TraceStoreError(f"bad magic {magic!r}", cause="format")
     if version != FORMAT_VERSION:

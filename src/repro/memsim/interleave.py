@@ -1,10 +1,18 @@
 """Global-clock interleaver: the Mint-equivalent execution driver.
 
-Each simulated processor is a generator of events (see
+Each simulated processor is a stream of events (see
 :mod:`repro.memsim.events`).  The interleaver always advances the processor
 with the smallest clock, so shared-memory interactions (coherence,
 spinlocks) happen in a consistent global time order, as they would under an
 execution-driven simulator.
+
+A stream never observes simulated time (spinning is modeled here, not
+emitted by the stream), so :meth:`Interleaver.run` records each stream to
+completion and replays the recordings on the scalar
+:meth:`Interleaver.run_traces` engine.  A stream must therefore not depend
+on another stream's progress.  Read-only queries and the partitions of one
+query never do; concurrent DML is recorded as one session by
+:mod:`repro.workload.session`.
 
 Spinlocks are modeled as test-and-test-and-set: a waiting processor spins
 on its cached copy of the lock word, re-reading it every ``spin_interval``
@@ -32,10 +40,6 @@ from repro.memsim.sanitize import (
 from repro.memsim.stats import CpuStats, merge_cpu_stats
 from repro.obs import enabled as _obs_enabled
 from repro.obs.metrics import registry as _registry
-
-#: Internal marker meaning "this stream raised StopIteration"; it can sit in
-#: a ``pending`` slot when the busy-merge look-ahead hits the end of a stream.
-_EXHAUSTED = object()
 
 
 def _note_run(mode, cpu_stats, elapsed):
@@ -102,201 +106,31 @@ class Interleaver:
         ``streams`` may be shorter than the machine's node count; stream *i*
         runs on node *i*.  When ``reset_stats`` is true, machine counters are
         zeroed first while cache contents are kept (warm-start experiments).
+
+        Each stream is recorded to completion first, in order, so a stream
+        must not depend on another stream's progress (see the module
+        docstring).  The recordings replay on the scalar engine, and
+        ``CpuStats.events`` counts encoded rows, not source events.
         """
-        machine = self.machine
-        if len(streams) > machine.config.n_nodes:
-            raise ValueError(
-                f"{len(streams)} streams but only {machine.config.n_nodes} nodes"
-            )
-        if reset_stats:
-            machine.reset_stats()
-        t0 = perf_counter() if _obs_enabled() else None
+        from repro.core.tracecache import record  # repro.core imports us
 
-        n = len(streams)
-        clocks = [0] * n
-        cpu_stats = [CpuStats() for _ in range(n)]
-        pending = [None] * n
-        alive = list(range(n))
-        lock_holder = {}
-        spin_interval = self.spin_interval
-        mread = machine.read
-        mwrite = machine.write
-        mstats = machine.stats
-        drain_time = machine.drain_time
-        exhausted = _EXHAUSTED
-        # Int sentinel (not float inf): every per-event "now >= limit"
-        # check stays an int-int comparison.
-        INF = 1 << 62
-
-        while alive:
-            # Pick the earliest processor (``alive`` stays sorted, so ties
-            # resolve to the lowest index exactly as ``min`` does) and the
-            # earliest *other* clock.  While this processor stays strictly
-            # below that limit it remains the unique argmin, so its events
-            # dispatch in a tight inner loop with no rescan per event.
-            k = len(alive)
-            if k == 1:
-                cpu = alive[0]
-                limit = INF
-            elif k == 2:
-                c0, c1 = alive
-                if clocks[c0] <= clocks[c1]:
-                    cpu, limit = c0, clocks[c1]
-                else:
-                    cpu, limit = c1, clocks[c0]
-            else:
-                # One pass for both the argmin and the runner-up clock
-                # (ties keep the earlier index, matching ``min``).
-                ait = iter(alive)
-                cpu = next(ait)
-                best = clocks[cpu]
-                limit = INF
-                for i in ait:
-                    ci = clocks[i]
-                    if ci < best:
-                        cpu, limit, best = i, best, ci
-                    elif ci < limit:
-                        limit = ci
-
-            next_ev = streams[cpu].__next__
-            stats = cpu_stats[cpu]
-            mem_by_class = stats.mem_by_class
-            now = clocks[cpu]
-
-            while True:
-                ev = pending[cpu]
-                if ev is None:
-                    try:
-                        ev = next_ev()
-                    except StopIteration:
-                        ev = exhausted
-                else:
-                    pending[cpu] = None
-                if ev is exhausted:
-                    alive.remove(cpu)
-                    now = drain_time(cpu, now)
-                    clocks[cpu] = now
-                    stats.finish_time = now
-                    if _sanitize:
-                        machine.check_invariants()
-                    break
-
-                kind = ev[0]
-                stats.events += 1
-
-                if kind == 0:  # EV_READ
-                    stall = mread(cpu, ev[1], ev[2], ev[3], now)
-                    mem_by_class[ev[3]] += stall
-                    if len(ev) == 4:
-                        stats.busy += 1
-                        now += 1 + stall
-                    else:
-                        # Fused replay row: the reference plus its trailing
-                        # busy/hit run ((cycles, hit count) in ev[4:6]).
-                        inert = ev[4]
-                        stats.busy += 1 + inert
-                        now += 1 + stall + inert
-                        if ev[5]:
-                            mstats.l1_reads += ev[5]
-                elif kind == 1:  # EV_WRITE
-                    stall = mwrite(cpu, ev[1], ev[2], ev[3], now)
-                    mem_by_class[ev[3]] += stall
-                    if len(ev) == 4:
-                        stats.busy += 1
-                        now += 1 + stall
-                    else:
-                        inert = ev[4]
-                        stats.busy += 1 + inert
-                        now += 1 + stall + inert
-                        if ev[5]:
-                            mstats.l1_reads += ev[5]
-                elif kind == 2:  # EV_BUSY
-                    # Batched merge: absorb the whole run of busy events in
-                    # one dispatch (they never touch the machine), parking
-                    # the first non-busy event -- or the end-of-stream
-                    # marker -- in the pending slot.
-                    cycles = ev[1]
-                    while True:
-                        try:
-                            nxt = next_ev()
-                        except StopIteration:
-                            pending[cpu] = exhausted
-                            break
-                        if nxt[0] == 2:
-                            cycles += nxt[1]
-                            stats.events += 1
-                        else:
-                            pending[cpu] = nxt
-                            break
-                    stats.busy += cycles
-                    now += cycles
-                elif kind == 5:  # EV_HIT: always-hit stack/static references
-                    count = ev[1]
-                    stats.busy += count
-                    mstats.l1_reads += count
-                    now += count
-                elif kind == 3:  # EV_LOCK_ACQ
-                    lock_id, addr, cls = ev[1], ev[2], ev[3]
-                    holder = lock_holder.get(lock_id)
-                    if holder == cpu:
-                        raise LockProtocolError(
-                            f"cpu {cpu} re-acquired spinlock {lock_id!r}"
-                        )
-                    if holder is None:
-                        # Test-and-set: read-modify-write on the lock word.
-                        cost = 2
-                        cost += mread(cpu, addr, 4, cls, now)
-                        cost += mwrite(cpu, addr, 4, cls, now + cost)
-                        stats.msync += cost
-                        now += cost
-                        lock_holder[lock_id] = cpu
-                    else:
-                        # Spin on the cached copy and retry later.  The new
-                        # clock is never below the holder's, so the retry
-                        # always leaves the inner loop and rescans.
-                        wait = spin_interval
-                        holder_clock = clocks[holder]
-                        if holder_clock > now + wait:
-                            wait = holder_clock - now
-                        wait += mread(cpu, addr, 4, cls, now)
-                        stats.msync += wait
-                        now += wait
-                        pending[cpu] = ev
-                elif kind == 4:  # EV_LOCK_REL
-                    lock_id, addr, cls = ev[1], ev[2], ev[3]
-                    if lock_holder.get(lock_id) != cpu:
-                        raise LockProtocolError(
-                            f"cpu {cpu} released spinlock {lock_id!r} "
-                            "it does not hold"
-                        )
-                    del lock_holder[lock_id]
-                    cost = 1 + mwrite(cpu, addr, 4, cls, now)
-                    stats.msync += cost
-                    now += cost
-                else:
-                    raise ValueError(f"unknown event kind {kind!r}")
-
-                if now >= limit:
-                    clocks[cpu] = now
-                    break
-
-        if t0 is not None:
-            _note_run("run", cpu_stats, perf_counter() - t0)
-        return RunResult(machine, cpu_stats)
+        n_nodes = self.machine.config.n_nodes
+        if len(streams) > n_nodes:
+            raise ValueError(f"{len(streams)} streams but only {n_nodes} nodes")
+        traces = [record(stream) for stream in streams]
+        return self._run_traces_scalar(traces, None, reset_stats)
 
     def run_traces(self, traces, sink=None, reset_stats=False, kernel=None):
         """Replay recorded traces array-directly: no generators, no tuples.
 
         ``traces`` holds one :class:`~repro.core.tracecache.QueryTrace` per
-        processor (trace *i* runs on node *i*).  Instead of resuming a
-        ``replay()`` generator and unpacking an event tuple per step, each
-        processor keeps an index cursor into its trace's columnar arrays
-        and events dispatch straight from the columns -- the replay
-        equivalent of :meth:`run`, and bit-identical to it on replay
-        streams: same cycles, same machine counters, same per-CPU
-        accounting (``tests/test_tracecache.py`` asserts this for all 17
-        queries).  A contended lock acquire retries by *not* advancing the
-        cursor, mirroring the ``pending``-slot redispatch of :meth:`run`.
+        processor (trace *i* runs on node *i*).  Each processor keeps an
+        index cursor into its trace's columnar arrays and events dispatch
+        straight from the columns; a contended lock acquire retries by
+        *not* advancing the cursor.  Replaying a recording is bit-identical
+        to interleaving the live streams it was recorded from: same cycles,
+        same machine counters, same per-CPU accounting
+        (``tests/test_tracecache.py`` asserts this for all 17 queries).
 
         ``kernel`` picks the dispatch engine: ``"scalar"`` (the pure-Python
         reference loop), ``"batched"`` (plan-driven inlined dispatch; see
@@ -316,7 +150,7 @@ class Interleaver:
         by construction and by test.
 
         When ``sink`` is given, ``sink[i]`` is set to trace *i*'s recorded
-        result rows as its stream completes, like ``replay(sink=...)``.
+        result rows as its stream completes.
         """
         kernel = _resolve_kernel(kernel)
         if kernel == "horizon":
@@ -386,9 +220,11 @@ class Interleaver:
 
         # The replay dispatch loop.
         while alive:
-            # Identical argmin/limit selection to :meth:`run`: the chosen
-            # processor dispatches in a tight loop while it stays strictly
-            # the earliest clock.
+            # Pick the earliest processor (``alive`` stays sorted, so ties
+            # resolve to the lowest index exactly as ``min`` does) and the
+            # earliest *other* clock.  While this processor stays strictly
+            # below that limit it remains the unique argmin, so its rows
+            # dispatch in a tight inner loop with no rescan per row.
             k = len(alive)
             if k == 1:
                 cpu = alive[0]
@@ -400,6 +236,8 @@ class Interleaver:
                 else:
                     cpu, limit = c1, clocks[c0]
             else:
+                # One pass for both the argmin and the runner-up clock
+                # (ties keep the earlier index, matching ``min``).
                 ait = iter(alive)
                 cpu = next(ait)
                 best = clocks[cpu]
@@ -662,9 +500,9 @@ class Interleaver:
 
         # The batched replay dispatch loop.
         while alive:
-            # Identical argmin/limit selection to :meth:`run`: the chosen
-            # processor dispatches in a tight loop while it stays strictly
-            # the earliest clock.
+            # Identical argmin/limit selection to the scalar engine: the
+            # chosen processor dispatches in a tight loop while it stays
+            # strictly the earliest clock.
             k = len(alive)
             if k == 1:
                 cpu = alive[0]
@@ -1282,7 +1120,7 @@ class Interleaver:
                 n_virtual -= 1
                 hz_ff += 1
             else:
-                # Identical argmin/limit selection to :meth:`run`.
+                # Identical argmin/limit selection to the scalar engine.
                 if k == 1:
                     cpu = alive[0]
                     limit = INF

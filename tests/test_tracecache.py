@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import experiment
 from repro.core.experiment import (
+    WorkloadResult,
     clear_caches,
     run_mixed_workload,
     run_query_workload,
@@ -68,50 +69,81 @@ def assert_equivalent(live, replayed):
             == [cpu_snapshot(s) for s in live.run.cpu_stats])
 
 
+def _traces(qid, seed_base=0, n_procs=4):
+    """``run_query_workload``'s streams, from the shared trace cache."""
+    cache = workload_trace_cache(SCALE)
+    return [cache.get(qid, seed_base + i, i) for i in range(n_procs)]
+
+
+def _replayed(label, traces, machine=None, reset_stats=False):
+    """``traces`` through ``run_traces`` under the process-default kernel,
+    as sweeps replay them."""
+    scale = get_scale(SCALE)
+    if machine is None:
+        machine = NumaMachine(scale.machine_config(),
+                              home_fn=shared_home_fn())
+    sink = {}
+    run = Interleaver(machine).run_traces(traces, sink=sink,
+                                          reset_stats=reset_stats)
+    return WorkloadResult(label, scale, machine, run, sink)
+
+
 @pytest.mark.parametrize("qid", QUERY_IDS)
 def test_replay_bit_identical(qid):
     """All 17 TPC-D queries: replay == live on every counter."""
     live = run_query_workload(qid, scale=SCALE)
-    replayed = run_query_workload(qid, scale=SCALE, trace_cache=True)
-    assert_equivalent(live, replayed)
+    assert_equivalent(live, _replayed(qid, _traces(qid)))
 
 
 def test_replay_is_deterministic():
     """Replaying twice gives the same simulation both times."""
-    first = run_query_workload("Q6", scale=SCALE, trace_cache=True)
-    second = run_query_workload("Q6", scale=SCALE, trace_cache=True)
+    first = _replayed("Q6", _traces("Q6"))
+    second = _replayed("Q6", _traces("Q6"))
     assert_equivalent(first, second)
 
 
 def test_mixed_workload_replay():
-    """Heterogeneous slots and per-slot query streams replay exactly."""
+    """Heterogeneous slots and per-slot query streams replay exactly.
+
+    A slot's stream is one trace per query, concatenated: a trace
+    recorded on a fresh backend equals the live stream on a reused one
+    because ``reset_heap`` restores the private address state a fresh
+    backend starts with."""
     qids = ["Q3", ["Q6", "Q12"], "Q12", "Q6"]
     live = run_mixed_workload(qids, scale=SCALE)
-    replayed = run_mixed_workload(qids, scale=SCALE, trace_cache=True)
-    assert_equivalent(live, replayed)
+    cache = workload_trace_cache(SCALE)
+    traces = []
+    for i, spec in enumerate(qids):
+        queries = spec if isinstance(spec, list) else [spec]
+        parts = [cache.get(qid, i + 10 * j, i)
+                 for j, qid in enumerate(queries)]
+        slot = QueryTrace()
+        for part in parts:
+            slot.extend(part.replay())
+        slot.rows = ([part.rows for part in parts]
+                     if isinstance(spec, list) else parts[0].rows)
+        traces.append(slot)
+    assert_equivalent(live, _replayed(tuple(qids), traces))
 
 
 def test_warm_workload_replay():
     """Warm-start (Figure 12) runs replay exactly, including cache state
     carried from the warm-up phase."""
     live = run_warm_workload("Q6", warm_qid="Q3", scale=SCALE)
-    replayed = run_warm_workload("Q6", warm_qid="Q3", scale=SCALE,
-                                 trace_cache=True)
+    warm = _replayed("Q3", _traces("Q3", seed_base=100))
+    replayed = _replayed("Q6", _traces("Q6"), machine=warm.machine,
+                         reset_stats=True)
     assert_equivalent(live, replayed)
 
 
 def _run_both_replays(qid, config):
-    """Generator replay and array-direct replay of the same traces."""
-    scale = get_scale(SCALE)
-    cache = workload_trace_cache(SCALE)
-    traces = [cache.get(qid, i, i, arena_size=scale.arena_size)
-              for i in range(4)]
+    """The same traces through ``Interleaver.run`` (as re-emitted event
+    streams) and through ``run_traces`` under the default kernel."""
+    traces = _traces(qid)
 
     gen_machine = NumaMachine(config, home_fn=shared_home_fn())
-    gen_sink = {}
-    gen_run = Interleaver(gen_machine).run(
-        [cache.stream(qid, i, i, arena_size=scale.arena_size, sink=gen_sink)
-         for i in range(4)])
+    gen_run = Interleaver(gen_machine).run([t.replay() for t in traces])
+    gen_sink = {i: t.rows for i, t in enumerate(traces)}
 
     arr_machine = NumaMachine(config, home_fn=shared_home_fn())
     arr_sink = {}
@@ -126,7 +158,8 @@ def assert_runs_identical(gen, arr):
     assert (machine_snapshot(arr_machine.stats)
             == machine_snapshot(gen_machine.stats))
     assert arr_sink == gen_sink
-    # Replay streams are already coalesced, so even ``events`` matches.
+    # ``run`` re-records the replayed streams into the same rows, so even
+    # ``events`` matches.
     assert ([dict(cpu_snapshot(s), events=s.events)
              for s in arr_run.cpu_stats]
             == [dict(cpu_snapshot(s), events=s.events)
@@ -135,8 +168,9 @@ def assert_runs_identical(gen, arr):
 
 @pytest.mark.parametrize("qid", QUERY_IDS)
 def test_array_direct_replay_matches_generator(qid):
-    """All 17 queries: ``run_traces`` is bit-identical to generator
-    replay -- every machine counter, per-CPU stat, and result row."""
+    """All 17 queries: ``run_traces`` is bit-identical to ``run`` over
+    the traces' event streams -- every machine counter, per-CPU stat,
+    and result row."""
     gen, arr = _run_both_replays(qid, get_scale(SCALE).machine_config())
     assert_runs_identical(gen, arr)
 
@@ -209,7 +243,7 @@ def test_replay_retains_less_than_the_encoded_trace():
 def test_sweep_point_summaries_match_workload():
     point = SweepPoint(key="base", qid="Q6")
     summary = run_sweep([point], scale=SCALE)["base"]
-    w = run_query_workload("Q6", scale=SCALE, trace_cache=True)
+    w = run_query_workload("Q6", scale=SCALE)
     assert summary["exec_time"] == w.exec_time
     assert summary["components"] == w.time_components()
     assert summary["l1_grouped"] == w.stats.grouped("l1")
@@ -239,7 +273,7 @@ def test_sweep_memoized_points_skip_the_pool():
 
 
 def test_clear_caches_drops_everything():
-    run_query_workload("Q6", scale=SCALE, trace_cache=True)
+    _traces("Q6")
     assert experiment._DB_CACHE and experiment._TRACE_CACHE
     cache = workload_trace_cache(SCALE)
     assert len(cache) > 0
@@ -297,6 +331,17 @@ def test_extend_in_pieces_equals_one_pass(events, cuts):
     assert _encoded(split) == _encoded(whole)
     assert values == list(range(len(pieces)))
     assert whole.n_source_events == len(events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(_EVENTS, max_size=40))
+def test_rerecorded_replay_encodes_like_the_trace(events):
+    """``replay()`` yields only event shapes, fused rows included, so
+    recording it again loses no cycle or hit."""
+    trace = record(_stream(events))
+    again = record(trace.replay())
+    # ``rows`` and ``n_source_events`` describe the source stream.
+    assert _encoded(again)[:8] == _encoded(trace)[:8]
 
 
 @pytest.mark.parametrize("kind", [EV_READ, EV_WRITE])

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from array import array
 
 import pytest
@@ -185,10 +186,10 @@ def test_read_through_loads_instead_of_recording(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncate", "flip", "version",
-                                    "typecode"])
+                                    "version1", "typecode"])
 def test_damaged_store_entry_falls_back_to_recording(tmp_path, damage):
-    """A truncated, bit-flipped, version-bumped, or unknown-typecode file
-    re-records cleanly."""
+    """A truncated, bit-flipped, version-bumped, version-1 (payload-only
+    CRC), or unknown-typecode file re-records cleanly."""
     first = _fresh_cache(tmp_path)
     trace = first.get("Q6", 0, 0)
 
@@ -198,8 +199,11 @@ def test_damaged_store_entry_falls_back_to_recording(tmp_path, damage):
         blob = blob[:len(blob) // 3]
     elif damage == "flip":
         blob[len(blob) - 7] ^= 0x01
-    elif damage == "typecode":  # the header is outside the payload CRC
+    elif damage == "typecode":
         blob = bytearray(blob.replace(b'["a","I"', b'["a","Z"', 1))
+        _restamp_crc(blob)  # so the load reaches the typecode check
+    elif damage == "version1":
+        struct.pack_into("<I", blob, 4, 1)
     else:
         struct.pack_into("<I", blob, 4, FORMAT_VERSION + 1)
     path.write_bytes(bytes(blob))
@@ -212,6 +216,35 @@ def test_damaged_store_entry_falls_back_to_recording(tmp_path, damage):
     third = _fresh_cache(tmp_path)
     third.get("Q6", 0, 0)
     assert third.loads == 1 and third.records == 0
+
+
+def _restamp_crc(blob):
+    """Rewrite ``blob``'s prefix CRC to match its (edited) contents."""
+    struct.pack_into("<I", blob, 12, zlib.crc32(blob[16:]))
+
+
+def test_header_bit_flip_fails_the_checksum(tmp_path):
+    """The CRC covers the JSON header: a flipped bit in the lock-id table
+    (``LockMgrLock`` -> ``LnckMgrLock``, still valid JSON) is damage, not a
+    silently renamed lock."""
+    key = _key("Q6")
+    trace = _trace("Q6")
+    assert "LockMgrLock" in trace.lock_ids
+    save_trace(tmp_path, key, trace)
+    path = tmp_path / trace_filename(key)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b'"LockMgrLock"') + 2
+    blob[at] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TraceStoreError) as info:
+        load_trace(tmp_path, key, strict=True)
+    assert info.value.cause == "checksum"
+
+    cache = _fresh_cache(tmp_path)
+    with pytest.warns(TraceStoreWarning):
+        recorded = cache.get("Q6", 0, 0)
+    assert cache.records == 1 and cache.loads == 0
+    assert_traces_equal(recorded, trace)
 
 
 def test_iter_traces_skips_damaged_and_foreign_files(tmp_path):
