@@ -51,8 +51,11 @@ def jsonable(obj):
 
     Dict keys become strings (non-string keys via ``repr``), tuples become
     lists, and objects exposing ``as_dict()`` (``CpuStats``,
-    ``MachineStats``, ``RunConfig``) serialize through it.  Anything else
-    falls back to ``repr`` -- a report must never fail to encode.
+    ``MachineStats``, ``RunConfig``) serialize through it.  A ``set`` or
+    ``frozenset`` becomes a list sorted by each element's canonical JSON
+    (``json.dumps(..., sort_keys=True)``), so its encoding does not follow
+    the process's ``PYTHONHASHSEED``.  Anything else falls back to
+    ``repr`` -- a report must never fail to encode.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -61,6 +64,9 @@ def jsonable(obj):
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted((jsonable(v) for v in obj),
+                      key=lambda v: json.dumps(v, sort_keys=True))
     as_dict = getattr(obj, "as_dict", None)
     if callable(as_dict):
         return jsonable(as_dict())

@@ -13,9 +13,13 @@ Three contracts matter most and each gets direct coverage here:
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.obs as obs
 from repro.core.run import RunConfig, current_run_config, run_experiments
 from repro.core.sweep import SweepPoint, clear_variant_cache, run_sweep
@@ -268,6 +272,29 @@ def test_sweep_results_identical_with_observability_on():
     obs.disable()
     assert observed == baseline
     assert summary_hash(observed) == summary_hash(baseline)
+
+
+_SET_HASH = (
+    "from repro.obs.report import summary_hash\n"
+    "ops = ['SeqScan', 'IndexScan', 'HashJoin', 'NestLoop', 'Sort', 'Agg',"
+    " 'Filter', 'Project', 'Limit', 'Group']\n"
+    "print(summary_hash({'Q3': {'ops': set(ops), 'frozen': frozenset(ops),"
+    " 'nested': {frozenset(ops[:3]), frozenset(ops[3:])}}}))\n"
+)
+
+
+def test_set_valued_results_hash_the_same_under_any_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED, which differs between
+    # processes; the result hash of a set-valued result must not.
+    pkg_root = os.path.dirname(os.path.dirname(repro.__file__))
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _SET_HASH], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 # -- RunConfig -----------------------------------------------------------------
