@@ -43,9 +43,8 @@ from repro.core.errors import (
     is_retryable,
 )
 from repro.core.ledger import Ledger
-from repro.core.report import format_table, normalize, percent
+from repro.core.report import format_table, percent
 from repro.core.locality import LocalityReport, analyze, analyze_query
-from repro.core.parallel import run_intra_query_workload
 from repro.core.run import (
     RunConfig,
     build_run_report,
@@ -84,7 +83,6 @@ __all__ = [
     "LocalityReport",
     "analyze",
     "analyze_query",
-    "run_intra_query_workload",
     "WorkloadResult",
     "clear_caches",
     "run_mixed_workload",
@@ -100,6 +98,5 @@ __all__ = [
     "run_sweep",
     "summarize",
     "format_table",
-    "normalize",
     "percent",
 ]

@@ -42,19 +42,6 @@ def get_trace_dir():
     return _TRACE_DIR
 
 
-def set_strict_store(strict):
-    """Make damaged trace-store entries raise instead of re-recording.
-
-    The ``repro-experiments --strict-store`` switch: default mode treats a
-    damaged entry as "not stored" (warn, count, re-record); strict mode
-    surfaces it as a :class:`~repro.core.errors.TraceStoreError`.  Sweep
-    workers inherit the setting through their ``init`` frame.
-    """
-    from repro.core import tracestore
-
-    tracestore.set_strict(strict)
-
-
 def workload_database(scale="small", seed=42):
     """Build (or reuse) the populated TPC-D database for a scale preset.
 

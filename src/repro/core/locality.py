@@ -121,9 +121,6 @@ class LocalityReport:
         self._timestamps = 0
         self._events = []
 
-    def per_class(self, cls):
-        return self.classes[cls]
-
     def summary(self):
         """Return ``{class_name: metrics dict}`` for non-empty classes."""
         out = {}

@@ -6,18 +6,6 @@ def percent(x, digits=1):
     return f"{100 * x:.{digits}f}%"
 
 
-def normalize(values, reference=None):
-    """Scale a mapping of numbers so the reference sums to 100.
-
-    With ``reference=None`` the values themselves sum to 100 (the paper's
-    normalized-bar convention); otherwise ``reference`` supplies the total.
-    """
-    total = sum(reference.values() if reference is not None else values.values())
-    if not total:
-        return {k: 0.0 for k in values}
-    return {k: 100.0 * v / total for k, v in values.items()}
-
-
 def format_table(headers, rows, title=None):
     """Render an ASCII table; numbers are shown with one decimal."""
     def cell(v):

@@ -18,7 +18,7 @@ started now would run under.
 """
 
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from repro.obs import enable as _obs_enable
@@ -72,13 +72,6 @@ class RunConfig:
     def as_dict(self):
         """Plain-dict view (the run report embeds this under ``config``)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a config from :meth:`as_dict` output; unknown keys are
-        ignored (reports from newer writers stay loadable)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
     def with_options(self, **changes):
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""

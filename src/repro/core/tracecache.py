@@ -422,48 +422,7 @@ class TraceCache:
         with span("record", qid=qid, seed=seed, node=node):
             return record(self.db.execute(qi.sql, backend, hints=qi.hints))
 
-    # -- persistence -----------------------------------------------------------
-
-    def save_to(self, directory):
-        """Write every in-memory trace to ``directory``; bytes written."""
-        from repro.core.tracestore import save_trace
-
-        written = 0
-        for (qid, seed, node, arena_size), trace in self._traces.items():
-            written += save_trace(
-                directory, self._store_key(qid, seed, node, arena_size), trace)
-        self.bytes_written += written
-        return written
-
-    def load_from(self, directory):
-        """Preload every stored trace that belongs to this cache.
-
-        Matches on the full store identity (scale, database seed, engine
-        lock-check mode); entries already in memory are kept.  Returns the
-        number of traces loaded.
-        """
-        from repro.core.tracestore import iter_traces
-
-        n = 0
-        for key, trace, nbytes in iter_traces(directory,
-                                              strict=self.strict_store):
-            scale_name, db_seed, qid, seed, node, arena_size, lc = key
-            if (scale_name != self.scale.name or db_seed != self.db_seed
-                    or lc != self.lock_check_per_rescan):
-                continue
-            mkey = (qid, seed, node, arena_size)
-            if mkey in self._traces:
-                continue
-            self._traces[mkey] = trace
-            self.loads += 1
-            self.bytes_read += nbytes
-            n += 1
-        return n
-
     # -- bookkeeping -----------------------------------------------------------
-
-    def __len__(self):
-        return len(self._traces)
 
     def clear(self):
         """Drop every recorded trace."""

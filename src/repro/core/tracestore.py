@@ -58,9 +58,8 @@ from repro.obs.metrics import registry
 
 __all__ = [
     "TraceStoreError", "TraceStoreWarning", "store_key", "trace_filename",
-    "encode_trace", "decode_trace", "stored_key", "save_trace", "load_trace",
-    "iter_traces", "clean_stale_temps", "corruption_stats", "set_strict",
-    "get_strict",
+    "encode_trace", "decode_trace", "save_trace", "load_trace",
+    "clean_stale_temps", "corruption_stats", "set_strict", "get_strict",
 ]
 
 MAGIC = b"RPTR"
@@ -246,26 +245,6 @@ def decode_trace(data, expect_key=None):
     return trace, key
 
 
-def stored_key(data):
-    """The identifying key of an encoded blob (header-only peek)."""
-    if len(data) < _PREFIX.size:
-        raise TraceStoreError("blob shorter than the fixed prefix",
-                              cause="truncated")
-    magic, version, header_len, _ = _PREFIX.unpack_from(data)
-    if magic != MAGIC:
-        raise TraceStoreError(f"bad magic {magic!r}", cause="format")
-    if version != FORMAT_VERSION:
-        raise TraceStoreError(
-            f"format version {version} (this writer is {FORMAT_VERSION})",
-            cause="format")
-    try:
-        header = json.loads(data[_PREFIX.size:_PREFIX.size + header_len].decode())
-        return tuple(header["key"])
-    except (ValueError, UnicodeDecodeError, KeyError, TypeError) as exc:
-        raise TraceStoreError(f"undecodable header: {exc}",
-                              cause="header") from None
-
-
 def save_trace(directory, key, trace):
     """Write one trace under ``directory``; returns the bytes written.
 
@@ -366,37 +345,6 @@ def load_trace(directory, key, strict=None):
                       TraceStoreWarning, stacklevel=2)
         return None
     return trace, len(data)
-
-
-def iter_traces(directory, strict=None):
-    """Yield ``(key, trace, nbytes)`` for every readable stored trace.
-
-    Damaged files are counted, warned about, and skipped (raised under
-    strict mode); foreign files are ignored outright: a trace directory is
-    a cache, and a cache with a bad entry is just a smaller cache.
-    """
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return
-    for name in names:
-        if not name.endswith(SUFFIX):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            trace, key = decode_trace(data)
-        except OSError:
-            continue
-        except TraceStoreError as exc:
-            _count_damage(exc)
-            if _STRICT if strict is None else strict:
-                raise
-            warnings.warn(f"damaged trace store entry {path}: {exc} "
-                          "(skipped)", TraceStoreWarning, stacklevel=2)
-            continue
-        yield key, trace, len(data)
 
 
 def clean_stale_temps(directory, max_age=STALE_TMP_AGE):

@@ -183,10 +183,6 @@ class BTreeIndex:
             node = node.next_leaf
             idx = 0
 
-    def full_scan(self):
-        """Traced generator: every rid in key order (events interleaved)."""
-        yield from self.scan_range()
-
     # -- traced maintenance --------------------------------------------------------------
 
     def insert(self, key, rid):

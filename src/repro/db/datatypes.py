@@ -75,16 +75,6 @@ class Schema:
         """Position of column ``name``; raises ``KeyError`` if absent."""
         return self._index[name]
 
-    def column(self, name):
-        return self.columns[self._index[name]]
-
-    def offset_of(self, name):
-        """Byte offset of column ``name`` within a tuple slot."""
-        return self.offsets[self._index[name]]
-
-    def width_of(self, name):
-        return self.columns[self._index[name]].width
-
     def names(self):
         return [c.name for c in self.columns]
 

@@ -1,4 +1,4 @@
-"""DML execution: INSERT, DELETE, UPDATE with write datalocks.
+"""DML execution: INSERT and DELETE with write datalocks.
 
 The paper traces only the read-only TPC-D queries, noting that "update
 queries are much more demanding on the locking algorithm" and that
@@ -12,7 +12,7 @@ simulated alongside queries.
 
 from repro.db.expr import columns_of, compile_expr, op_count
 from repro.db.locks import LockMode
-from repro.db.sql import DeleteStatement, InsertStatement, UpdateStatement
+from repro.db.sql import DeleteStatement, InsertStatement
 from repro.memsim.events import busy, hit, read, write
 
 
@@ -26,8 +26,6 @@ def execute_dml(db, stmt, backend):
         return (yield from _insert(db, stmt, backend))
     if isinstance(stmt, DeleteStatement):
         return (yield from _delete(db, stmt, backend))
-    if isinstance(stmt, UpdateStatement):
-        return (yield from _update(db, stmt, backend))
     raise DmlError(f"not a DML statement: {stmt!r}")
 
 
@@ -136,46 +134,6 @@ def _delete(db, stmt, backend):
         for ix in db.table_indexes(table.name):
             yield from ix.delete(ix.key_of_row(row), rid)
         table.delete(rid)
-        yield from db.bufmgr.unpin(page)
-    yield from db.lockmgr.release(table.oid, backend.xid)
-    return len(rids)
-
-
-def _update(db, stmt, backend):
-    table = _table(db, stmt.table)
-    schema = table.schema
-    positions = {c: i for i, c in enumerate(schema.names())}
-    compiled = []
-    for col, expr in stmt.assignments:
-        if col not in positions:
-            raise DmlError(f"unknown column {col!r} in SET")
-        compiled.append((positions[col], compile_expr(expr, positions)))
-    touched_idxs = {idx for idx, _ in compiled}
-    affected_indexes = [
-        ix for ix in db.table_indexes(table.name)
-        if any(i in touched_idxs for i in ix.key_idxs)
-    ]
-
-    yield from db.lockmgr.acquire(table.oid, backend.xid, LockMode.WRITE)
-    rids = yield from _matching_rids(db, table, stmt.where, backend)
-    cost = db.cost
-    for rid in rids:
-        page, _ = table.page_slot(rid)
-        yield from db.bufmgr.pin(page)
-        yield hit(cost.stack_refs_fetch)
-        row = table.rows[rid]
-        old_keys = [ix.key_of_row(row) for ix in affected_indexes]
-        new_values = [(idx, fn(row)) for idx, fn in compiled]
-        for idx, value in new_values:
-            table.update(rid, idx, value)
-            yield write(table.attr_addr(rid, idx),
-                        schema.columns[idx].width, 1)
-            yield busy(cost.predicate_op)
-        for ix, old_key in zip(affected_indexes, old_keys):
-            new_key = ix.key_of_row(table.rows[rid])
-            if new_key != old_key:
-                yield from ix.delete(old_key, rid)
-                yield from ix.insert(new_key, rid)
         yield from db.bufmgr.unpin(page)
     yield from db.lockmgr.release(table.oid, backend.xid)
     return len(rids)

@@ -27,16 +27,6 @@ class QueryResult:
         self.columns = columns
         self.rows = rows
 
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def as_dicts(self):
-        """Rows as dictionaries keyed by output column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class Backend:
     """One database process: private heap + transaction identity.
@@ -109,10 +99,6 @@ class Database:
         return list(self._table_indexes[table_name])
 
     # -- planning --------------------------------------------------------------------
-
-    def parse(self, sql):
-        """Parse SQL text into a statement."""
-        return parse(sql)
 
     def plan(self, query, hints=None):
         """Plan SQL text or a parsed statement into a plan tree."""

@@ -118,9 +118,6 @@ class _Op:
             write(hf[(i + 7) % 16], 8, 0),
         )
 
-    def run(self):
-        raise NotImplementedError
-
 
 class SeqScanOp(_Op):
     """Sequential Scan select: visit every tuple of the table in order."""
@@ -153,12 +150,7 @@ class SeqScanOp(_Op):
         deleted = table.deleted
         n = len(rows)
         pages = table.pages
-        first_page = 0
-        if self.node.partition is not None:
-            k, nparts = self.node.partition
-            first_page = k * len(pages) // nparts
-            pages = pages[first_page:(k + 1) * len(pages) // nparts]
-        rid = first_page * tpp
+        rid = 0
         for page in pages:
             yield from bufmgr.pin(page)
             last = min(rid + tpp, n)

@@ -28,24 +28,13 @@ class PlanNode:
     def children(self):
         return []
 
-    @property
-    def label(self):
-        return type(self).__name__
-
 
 @dataclass
 class SeqScan(PlanNode):
-    """Sequential Scan select over a heap table.
-
-    ``partition`` optionally restricts the scan to slice ``k`` of ``n``
-    contiguous page ranges -- the building block for intra-query
-    parallelism (the paper's future work, implemented in
-    :mod:`repro.core.parallel`).
-    """
+    """Sequential Scan select over a heap table."""
 
     table: str = ""
     pred: Any = None  # residual predicate expression, or None
-    partition: Optional[Tuple[int, int]] = None  # (k, n)
 
     label = "SeqScan"
 

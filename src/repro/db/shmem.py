@@ -81,10 +81,6 @@ class SharedMemory:
         self.page_kinds.append(kind)
         return idx
 
-    @property
-    def n_pages(self):
-        return self._n_pages
-
     def page_addr(self, page_idx):
         """Base address of buffer block ``page_idx``."""
         return self.blocks_base + page_idx * PAGE_SIZE
@@ -236,10 +232,6 @@ class PrivateMemory:
         skew = (self._hot_count % 3) * 20
         self._hot_count += 1
         return self.hot_base + idx * 64 + skew
-
-    def reset_arena(self):
-        """Rewind the arena (e.g. between queries on the same backend)."""
-        self._arena_off = 0
 
     def reset_heap(self):
         """Free all query-lifetime allocations, reusing their addresses.

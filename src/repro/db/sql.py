@@ -28,7 +28,7 @@ _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "GROUP", "ORDER", "BY", "AND", "OR", "NOT",
     "AS", "BETWEEN", "IN", "LIKE", "ASC", "DESC", "DATE",
     "SUM", "COUNT", "AVG", "MIN", "MAX",
-    "INSERT", "INTO", "VALUES", "DELETE", "UPDATE", "SET",
+    "INSERT", "INTO", "VALUES", "DELETE",
 }
 
 _TOKEN_RE = re.compile(
@@ -85,15 +85,6 @@ class DeleteStatement:
     """``DELETE FROM table [WHERE predicate]``."""
 
     table: str
-    where: List[Any] = field(default_factory=list)
-
-
-@dataclass
-class UpdateStatement:
-    """``UPDATE table SET col = expr [, ...] [WHERE predicate]``."""
-
-    table: str
-    assignments: List[Any] = field(default_factory=list)  # (col, expr)
     where: List[Any] = field(default_factory=list)
 
 
@@ -162,8 +153,6 @@ class _Parser:
             return self.insert_statement()
         if (kind, value) == ("keyword", "DELETE"):
             return self.delete_statement()
-        if (kind, value) == ("keyword", "UPDATE"):
-            return self.update_statement()
         raise SqlError(f"expected a statement, got {value!r}")
 
     def insert_statement(self):
@@ -194,23 +183,6 @@ class _Parser:
         if self.peek()[0] != "eof":
             raise SqlError(f"trailing tokens at {self.peek()[1]!r}")
         return DeleteStatement(table, where)
-
-    def update_statement(self):
-        self.expect("keyword", "UPDATE")
-        table = self.expect("ident")
-        self.expect("keyword", "SET")
-        assignments = [self.assignment()]
-        while self.accept("symbol", ","):
-            assignments.append(self.assignment())
-        where = self.optional_where()
-        if self.peek()[0] != "eof":
-            raise SqlError(f"trailing tokens at {self.peek()[1]!r}")
-        return UpdateStatement(table, assignments, where)
-
-    def assignment(self):
-        col = self.expect("ident")
-        self.expect("symbol", "=")
-        return (col, self.additive())
 
     def optional_where(self):
         if self.accept("keyword", "WHERE"):
@@ -383,5 +355,5 @@ class _Parser:
 
 
 def parse(text):
-    """Parse SQL text into a statement (SELECT, INSERT, DELETE or UPDATE)."""
+    """Parse SQL text into a statement (SELECT, INSERT or DELETE)."""
     return _Parser(tokenize(text)).statement()

@@ -57,16 +57,6 @@ class HeapTable:
         self.deleted.add(rid)
         self._stats = None
 
-    def update(self, rid, col_idx, value):
-        """Overwrite one attribute in place."""
-        if rid in self.deleted:
-            raise KeyError(f"{self.name}: rid {rid} is deleted")
-        self.rows[rid][col_idx] = value
-        self._stats = None
-
-    def is_live(self, rid):
-        return rid not in self.deleted
-
     def live_rids(self):
         """Rids of all non-deleted rows, in storage order."""
         deleted = self.deleted
@@ -100,10 +90,6 @@ class HeapTable:
     def attr_addr(self, rid, col_idx):
         """Simulated address of attribute ``col_idx`` of tuple ``rid``."""
         return self.tuple_addr(rid) + self.schema.offsets[col_idx] - 8
-
-    def value(self, rid, col_idx):
-        """The Python value of attribute ``col_idx`` of tuple ``rid``."""
-        return self.rows[rid][col_idx]
 
     def data_bytes(self):
         """Total bytes of tuple data (reporting helper)."""

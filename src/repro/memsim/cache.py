@@ -2,7 +2,10 @@
 
 A cache is a set of small LRU ways holding line tags.  A *line tag* is the
 memory address shifted right by ``line_shift``; callers compute it so that a
-cache never needs to know about byte addresses in its hot path.
+cache never needs to know about byte addresses in its hot path.  The replay
+engines probe ``_sets`` and update ``_seen``/``_invalidated`` inline on
+their hot paths; the methods here serve the colder ones (prefetch fills,
+coherence invalidations, L2 miss classification).
 
 Miss classification follows the paper (Figure 7):
 
@@ -61,20 +64,6 @@ class Cache:
         self._invalidated = set()
         self.name = name
 
-    def line_of(self, addr):
-        """Return the line tag covering byte address ``addr``."""
-        return addr >> self.line_shift
-
-    def lookup(self, line):
-        """Probe the cache for ``line``; update LRU and return hit/miss."""
-        ways = self._sets[line & self._set_mask]
-        if line in ways:
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-            return True
-        return False
-
     def contains(self, line):
         """Return whether ``line`` is resident, without touching LRU state."""
         return line in self._sets[line & self._set_mask]
@@ -116,18 +105,3 @@ class Cache:
         if line in self._invalidated:
             return MISS_COHERENCE
         return MISS_CONFLICT
-
-    def resident_lines(self):
-        """Return all resident line tags (test/diagnostic helper)."""
-        return [line for ways in self._sets for line in ways]
-
-    def flush(self):
-        """Empty the cache, keeping the cold-miss history."""
-        for ways in self._sets:
-            ways.clear()
-        self._invalidated.clear()
-
-    def clear_history(self):
-        """Forget the cold/coherence history (used for fresh workloads)."""
-        self._seen.clear()
-        self._invalidated.clear()

@@ -4,12 +4,20 @@ The directory tracks, per secondary-cache line, which nodes hold a copy and
 which node (if any) holds it dirty.  It is the mechanism behind the 2-hop
 and 3-hop remote transactions of the paper's NUMA latency model, and the
 source of the coherence invalidations that Figure 7 classifies as ``Cohe``
-misses.
+misses.  It is plain state: the replay engines
+(:class:`~repro.memsim.numa.NumaMachine` and the kernels of
+:mod:`repro.memsim.interleave`) read and update ``_sharers`` and
+``_dirty`` directly on their miss paths.
 """
 
 
 class Directory:
-    """Per-line sharing state for an ``n_nodes``-node machine."""
+    """Per-line sharing state for an ``n_nodes``-node machine.
+
+    ``_sharers`` maps a line to the set of nodes caching it; ``_dirty``
+    maps a line to the one node holding it dirty, which is then its only
+    sharer.
+    """
 
     __slots__ = ("n_nodes", "_sharers", "_dirty")
 
@@ -17,58 +25,3 @@ class Directory:
         self.n_nodes = n_nodes
         self._sharers = {}
         self._dirty = {}
-
-    def sharers(self, line):
-        """Return the set of nodes caching ``line`` (empty if uncached)."""
-        return self._sharers.get(line, frozenset())
-
-    def dirty_owner(self, line):
-        """Return the node holding ``line`` dirty, or ``None``."""
-        return self._dirty.get(line)
-
-    def record_read(self, node, line):
-        """Register a read fill by ``node``.
-
-        Returns the node that supplied the line dirty (now downgraded to a
-        sharer), or ``None`` when the line came from memory.
-        """
-        owner = self._dirty.pop(line, None)
-        if owner == node:
-            # Re-reading our own dirty line keeps it dirty.
-            self._dirty[line] = node
-            return None
-        holders = self._sharers.setdefault(line, set())
-        holders.add(node)
-        return owner
-
-    def record_write(self, node, line):
-        """Register a write by ``node``; return the nodes to invalidate."""
-        holders = self._sharers.setdefault(line, set())
-        victims = [n for n in holders if n != node]
-        holders.clear()
-        holders.add(node)
-        self._dirty[line] = node
-        return victims
-
-    def record_eviction(self, node, line):
-        """Register that ``node`` dropped its copy of ``line``."""
-        holders = self._sharers.get(line)
-        if holders is not None:
-            holders.discard(node)
-            if not holders:
-                del self._sharers[line]
-        if self._dirty.get(line) == node:
-            del self._dirty[line]
-
-    def is_cached(self, line):
-        """Return whether any node holds ``line``."""
-        return bool(self._sharers.get(line))
-
-    def check_invariants(self):
-        """Verify single-writer/no-stale-owner invariants (for tests)."""
-        for line, owner in self._dirty.items():
-            holders = self._sharers.get(line, set())
-            if holders != {owner}:
-                raise AssertionError(
-                    f"line {line:#x}: dirty owner {owner} but sharers {holders}"
-                )

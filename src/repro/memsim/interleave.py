@@ -749,7 +749,7 @@ class Interleaver:
                             inv2.discard(line2)
                             if len(ways2) > l2_assoc:
                                 evict_l2(cpu, ways2.pop())
-                        # Write-buffer issue (inlined WriteBuffer.issue);
+                        # Write-buffer issue, as in NumaMachine.write;
                         # wb state stays on the object because lock rows
                         # reach it through machine.write mid-window.
                         while wb_entries and wb_entries[0] <= now:

@@ -20,13 +20,6 @@ from repro.memsim.events import DataClass
 from repro.memsim.stats import MachineStats
 from repro.memsim.writebuffer import WriteBuffer
 
-PAGE_SHIFT = 13  # 8-Kbyte buffer blocks / NUMA pages
-
-
-def default_home(addr):
-    """Round-robin 8-KB pages over 4 nodes (shared-data placement)."""
-    return (addr >> PAGE_SHIFT) & 3
-
 
 @dataclass
 class MachineConfig:
@@ -67,14 +60,6 @@ class MachineConfig:
         if self.l2_size % (self.l2_line * self.l2_assoc) != 0:
             raise ValueError("L2 geometry does not divide evenly")
 
-    def with_lines(self, l2_line):
-        """Return a copy with ``l2_line``-byte secondary lines (L1 = half)."""
-        return self.replace(l1_line=l2_line // 2, l2_line=l2_line)
-
-    def with_cache_sizes(self, l1_size, l2_size):
-        """Return a copy with the given cache capacities."""
-        return self.replace(l1_size=l1_size, l2_size=l2_size)
-
     def replace(self, **kwargs):
         """Return a copy with the given fields replaced."""
         values = {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -87,13 +72,15 @@ class NumaMachine:
 
     The machine is time-agnostic about instruction execution: callers pass
     the current cycle count ``now`` and get back the number of stall cycles
-    the reference costs beyond the 1-cycle pipelined access.
+    the reference costs beyond the 1-cycle pipelined access.  ``home_fn``
+    maps a byte address to its home node, the NUMA page placement (the
+    workloads use :func:`repro.db.shmem.shared_home_fn`).
     """
 
-    def __init__(self, config=None, home_fn=None):
+    def __init__(self, config=None, *, home_fn):
         self.config = config or MachineConfig()
         cfg = self.config
-        self.home_fn = home_fn or default_home
+        self.home_fn = home_fn
         self.l1 = [Cache(cfg.l1_size, cfg.l1_line, cfg.l1_assoc, f"L1.{i}")
                    for i in range(cfg.n_nodes)]
         self.l2 = [Cache(cfg.l2_size, cfg.l2_line, cfg.l2_assoc, f"L2.{i}")
@@ -143,9 +130,10 @@ class NumaMachine:
         last = (addr + size - 1) >> shift
         if first == last:
             # Hot path: the access stays within one primary line.  The L1
-            # and L2 probes (and their MRU updates) are inlined from
-            # Cache.lookup, and the L1 miss bookkeeping from Cache.insert
-            # and classify_miss -- this path carries most of a simulation.
+            # and L2 probes move a hit to the MRU way, and an L1 miss is
+            # classified and filled in place (Cache.classify_miss and
+            # Cache.insert, inlined) -- this path carries most of a
+            # simulation.
             stats.l1_reads += 1 if size <= 4 else (size + 3) >> 2
             ways = self._l1_sets[node][first & self._l1_mask]
             if first in ways:
@@ -249,7 +237,9 @@ class NumaMachine:
                 l2._invalidated.discard(line2)
                 if len(ways2) > l2.assoc:
                     self._evict_l2(node, ways2.pop())
-            # Write-buffer issue (inlined from WriteBuffer.issue).
+            # Write-buffer issue: drop retired stores, stall on a full
+            # buffer until the oldest retires, and retire serially after
+            # the previous store.
             wb = self.wb[node]
             entries = wb.entries
             while entries and entries[0] <= now:
@@ -284,8 +274,8 @@ class NumaMachine:
     def _read_line(self, node, line1, cls, now):
         stats = self.stats
         stats.l1_reads += 1
-        # L1 probe inlined from Cache.lookup (multi-line accesses land here
-        # once per primary line, so this path is hot under small lines).
+        # L1 probe, a hit moving to the MRU way (multi-line accesses land
+        # here once per primary line, so this path is hot under small lines).
         ways = self._l1_sets[node][line1 & self._l1_mask]
         if line1 in ways:
             if ways[0] != line1:
@@ -302,7 +292,7 @@ class NumaMachine:
         return self._read_miss(node, line1, cls, now)
 
     def _read_miss(self, node, line1, cls, now):
-        # Same inlining as the read() hot path (Cache.lookup/insert and
+        # Same inlining as the read() hot path (MRU probe, Cache.insert and
         # classify_miss): multi-line accesses miss here once per line, and
         # small-line configurations make that the dominant miss path.
         stats = self.stats
@@ -362,7 +352,8 @@ class NumaMachine:
             latency = self.lat_2hop if home == node else self.lat_3hop
         else:
             latency = self.lat_local if home == node else self.lat_2hop
-        # Directory read fill, inlined from Directory.record_read.
+        # Directory read fill: a dirty owner elsewhere supplies the line
+        # and is downgraded to a sharer; the reader joins the sharers.
         if owner is not None and owner != node:
             del directory._dirty[line2]
         holders = directory._sharers.setdefault(line2, set())
@@ -383,7 +374,7 @@ class NumaMachine:
         stats.l1_writes += 1
         line2 = line1 >> self._ratio_shift
         # Write-through L1: update MRU if present, no allocation on write
-        # miss (probe inlined from Cache.lookup).
+        # miss.
         ways = self._l1_sets[node][line1 & self._l1_mask]
         if line1 in ways and ways[0] != line1:
             ways.remove(line1)
@@ -417,8 +408,8 @@ class NumaMachine:
             l2._invalidated.discard(line2)
             if len(ways2) > l2.assoc:
                 self._evict_l2(node, ways2.pop())
-        # Write-buffer issue, inlined from WriteBuffer.issue: drain retired
-        # stores, stall if full, retire serially after the previous store.
+        # Write-buffer issue: drain retired stores, stall if full, retire
+        # serially after the previous store.
         wb = self.wb[node]
         entries = wb.entries
         while entries and entries[0] <= now:
@@ -440,8 +431,9 @@ class NumaMachine:
         return stall
 
     def _invalidate_others(self, node, line2):
-        # Directory write, inlined from Directory.record_write, with a fast
-        # path for the common no-other-sharer case (no victims to visit).
+        # Directory write: the writer becomes the only sharer and the dirty
+        # owner, and every other sharer is invalidated (coherence misses
+        # next time).  Fast path for the common case of no other sharer.
         directory = self.directory
         holders = directory._sharers.get(line2)
         if holders is None:
@@ -464,7 +456,8 @@ class NumaMachine:
 
     def _evict_l2(self, node, line2):
         """Handle an L2 replacement: keep L1 inclusive, tell the directory."""
-        # Inlined from Directory.record_eviction.
+        # The evicting node leaves the line's sharers, and gives up
+        # ownership if it held the line dirty.
         directory = self.directory
         holders = directory._sharers.get(line2)
         if holders is not None:

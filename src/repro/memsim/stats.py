@@ -42,14 +42,6 @@ class MachineStats:
 
     # -- aggregation helpers -------------------------------------------------
 
-    def l1_misses_by_class(self):
-        """Return ``{DataClass: total L1 read misses}``."""
-        return {DataClass(c): sum(self.l1_read_misses[c]) for c in range(N_CLASSES)}
-
-    def l2_misses_by_class(self):
-        """Return ``{DataClass: total L2 read misses}``."""
-        return {DataClass(c): sum(self.l2_read_misses[c]) for c in range(N_CLASSES)}
-
     def total_l1_read_misses(self):
         return sum(sum(row) for row in self.l1_read_misses)
 
@@ -88,9 +80,9 @@ class MachineStats:
 
     def as_dict(self):
         """Plain-dict view of every counter: one key per slot, miss grids
-        as nested lists.  Round-trips exactly through :meth:`from_dict`
-        (and through JSON -- everything is ints and lists), which is how
-        the run report (:mod:`repro.obs.report`) embeds machine counters."""
+        as nested lists (JSON-safe: everything is ints and lists), which is
+        how the run report (:mod:`repro.obs.report`) embeds machine
+        counters."""
         return {
             "l1_reads": self.l1_reads,
             "l1_writes": self.l1_writes,
@@ -102,21 +94,6 @@ class MachineStats:
             "prefetches_issued": self.prefetches_issued,
             "prefetch_late_cycles": self.prefetch_late_cycles,
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild stats from :meth:`as_dict` output (missing keys stay
-        zero, unknown keys are ignored -- both directions of version skew
-        are tolerated)."""
-        out = cls()
-        for name in out.__slots__:
-            if name not in data:
-                continue
-            value = data[name]
-            if name in ("l1_read_misses", "l2_read_misses"):
-                value = [list(row) for row in value]
-            setattr(out, name, value)
-        return out
 
 
 class CpuStats:
@@ -166,8 +143,8 @@ class CpuStats:
     # -- serialization -------------------------------------------------------
 
     def as_dict(self):
-        """Plain-dict view: one key per slot.  Round-trips exactly through
-        :meth:`from_dict` and through JSON (ints and a list of ints)."""
+        """Plain-dict view: one key per slot (JSON-safe: ints and a list of
+        ints)."""
         return {
             "busy": self.busy,
             "msync": self.msync,
@@ -176,32 +153,15 @@ class CpuStats:
             "events": self.events,
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild stats from :meth:`as_dict` output (missing keys stay
-        zero, unknown keys are ignored)."""
-        out = cls()
-        for name in out.__slots__:
-            if name not in data:
-                continue
-            value = data[name]
-            if name == "mem_by_class":
-                value = list(value)
-            setattr(out, name, value)
-        return out
-
 
 def merge_cpu_stats(stats_list):
-    """Sum per-processor stats into one aggregate.
+    """Sum per-processor :class:`CpuStats` into one aggregate.
 
-    Accepts :class:`CpuStats` instances, :meth:`CpuStats.as_dict` dicts
-    (as found in a run report), or a mix.  An empty list returns a zeroed
-    :class:`CpuStats` -- merging nothing is the identity, not an error.
+    An empty list returns a zeroed :class:`CpuStats` -- merging nothing is
+    the identity, not an error.
     """
     out = CpuStats()
     for s in stats_list:
-        if isinstance(s, dict):
-            s = CpuStats.from_dict(s)
         out.busy += s.busy
         out.msync += s.msync
         out.events += s.events

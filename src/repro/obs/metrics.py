@@ -13,24 +13,20 @@ Four instrument kinds:
 ``Counter``
     A monotonically increasing integer (``inc``).
 ``Gauge``
-    A point-in-time value (``set``); merges take the elementwise max, the
-    useful semantics for high-water marks across processes.
+    A point-in-time value (``set``).
 ``Histogram``
     Fixed bucket boundaries chosen at creation; ``observe`` drops a sample
     into the first bucket whose upper bound holds it (the last bucket is
     the overflow).  Boundaries are part of the identity: re-registering a
-    histogram with different buckets is an error, so merged histograms
-    always add bucket-for-bucket.
+    histogram with different buckets is an error.
 ``UniqueCounter``
     Counts *distinct* keys (``add``), for "per unique point, not per
     attempt" accounting -- e.g. a trace re-recorded on every retry of a
     crashing sweep point is one damaged artifact, not three.
 
 Registries are cheap plain-dict machines with no locks: each process owns
-one (the module-global :func:`registry`), and cross-process aggregation is
-explicit -- a worker exports :meth:`MetricsRegistry.as_dict` and the parent
-:meth:`MetricsRegistry.merge`\\ s it.  Counters and histogram buckets add,
-gauges max, unique counters union by key.
+one (the module-global :func:`registry`), and :meth:`MetricsRegistry.as_dict`
+snapshots it for the run report.
 """
 
 import re
@@ -69,7 +65,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; merge takes the max (high-water mark)."""
+    """A point-in-time value."""
 
     __slots__ = ("name", "value")
     kind = "gauge"
@@ -141,10 +137,6 @@ class UniqueCounter:
         return len(self.keys)
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram,
-          "unique": UniqueCounter}
-
-
 class MetricsRegistry:
     """A namespace of named instruments (see module docstring).
 
@@ -201,20 +193,11 @@ class MetricsRegistry:
         return sorted((n, m) for n, m in self._metrics.items()
                       if not want or n.startswith(want) or n == prefix)
 
-    def __contains__(self, name):
-        return name in self._metrics
-
-    def __len__(self):
-        return len(self._metrics)
-
-    # -- snapshot / merge --------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
     def as_dict(self):
-        """JSON-ready snapshot, grouped by kind.
-
-        The exact inverse of :meth:`from_dict`; the run report embeds this
-        under its ``"metrics"`` key.
-        """
+        """JSON-ready snapshot, grouped by kind; the run report embeds
+        this under its ``"metrics"`` key."""
         out = {"counters": {}, "gauges": {}, "histograms": {}, "uniques": {}}
         for name, m in sorted(self._metrics.items()):
             if m.kind == "counter":
@@ -230,53 +213,6 @@ class MetricsRegistry:
                 out["uniques"][name] = {"count": len(m.keys),
                                         "keys": sorted(m.keys)}
         return out
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a registry from an :meth:`as_dict` snapshot."""
-        reg = cls()
-        for name, value in data.get("counters", {}).items():
-            reg.counter(name).inc(value)
-        for name, value in data.get("gauges", {}).items():
-            reg.gauge(name).set(value)
-        for name, h in data.get("histograms", {}).items():
-            hist = reg.histogram(name, h["buckets"])
-            hist.counts = list(h["counts"])
-            hist.total = h["total"]
-            hist.sum = h["sum"]
-        for name, u in data.get("uniques", {}).items():
-            reg.unique(name).keys.update(u.get("keys", ()))
-        return reg
-
-    def merge(self, other):
-        """Fold another registry (or an :meth:`as_dict` snapshot) into this
-        one: counters and histogram buckets add, gauges take the max,
-        unique counters union their key sets.
-
-        This is the cross-process aggregation path: a sweep worker snapshots
-        its registry with :meth:`as_dict` and the parent merges it.
-        """
-        if isinstance(other, dict):
-            other = MetricsRegistry.from_dict(other)
-        for name, m in other._metrics.items():
-            if m.kind == "counter":
-                self.counter(name).inc(m.value)
-            elif m.kind == "gauge":
-                mine = self.gauge(name)
-                mine.set(max(mine.value, m.value))
-            elif m.kind == "histogram":
-                mine = self.histogram(name, m.buckets)
-                for i, n in enumerate(m.counts):
-                    mine.counts[i] += n
-                mine.total += m.total
-                mine.sum += m.sum
-            else:
-                self.unique(name).keys.update(m.keys)
-        return self
-
-    def reset(self):
-        """Drop every registered metric (tests; never during a run)."""
-        self._metrics.clear()
 
 
 #: The process-wide registry every instrumented module writes to.

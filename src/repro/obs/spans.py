@@ -106,10 +106,6 @@ class SpanTracer:
             span.finish()
             self._stack.pop()
 
-    def current(self):
-        """The innermost open span, or ``None``."""
-        return self._stack[-1] if self._stack else None
-
     def tree(self):
         """The completed span forest as a list of nested plain dicts."""
         return [s.as_dict() for s in self.roots]

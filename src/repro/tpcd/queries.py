@@ -75,10 +75,6 @@ class QueryInstance:
     hints: Dict[str, str] = field(default_factory=dict)
     params: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def category(self):
-        return query_category(self.qid)
-
 
 def _date(num):
     return num_to_date(num).isoformat()

@@ -42,6 +42,11 @@ CONFIG = MachineConfig(n_nodes=4, l1_size=512, l1_line=16,
                        l2_size=2048, l2_line=32)
 
 
+def home(addr):
+    """Round-robin 8-KB pages over the four nodes."""
+    return (addr >> 13) & 3
+
+
 def make_trace(events):
     """A QueryTrace from plain event tuples, via the record() coalescer."""
     trace = record(iter(events))
@@ -61,7 +66,7 @@ def machine_snapshot(stats):
 
 
 def run_kernel(traces, kernel, config=CONFIG, sanitize=False):
-    machine = NumaMachine(config)
+    machine = NumaMachine(config, home_fn=home)
     sink = {}
     run = Interleaver(machine).run_traces(traces, sink=sink, kernel=kernel)
     if sanitize:
@@ -342,7 +347,7 @@ def test_plan_memoized_per_geometry():
 
 @needs_numpy
 def test_prefetch_machine_falls_back():
-    machine = NumaMachine(CONFIG.replace(prefetch_data=True))
+    machine = NumaMachine(CONFIG.replace(prefetch_data=True), home_fn=home)
     assert machine_batch_reason(machine) == "prefetch"
     events = [(EV_READ, i * 8, 4, 1) for i in range(64)]
     traces = [make_trace(events) for _ in range(2)]
@@ -355,7 +360,7 @@ def test_prefetch_machine_falls_back():
 
 @needs_numpy
 def test_plain_machine_is_batchable():
-    assert machine_batch_reason(NumaMachine(CONFIG)) is None
+    assert machine_batch_reason(NumaMachine(CONFIG, home_fn=home)) is None
 
 
 @needs_numpy
@@ -364,7 +369,7 @@ def test_set_associative_l1_still_batches():
     exactly as the scalar paths do."""
     config = MachineConfig(n_nodes=2, l1_size=512, l1_line=16, l1_assoc=2,
                            l2_size=2048, l2_line=32)
-    assert machine_batch_reason(NumaMachine(config)) is None
+    assert machine_batch_reason(NumaMachine(config, home_fn=home)) is None
     events = [(EV_READ, (i % 24) * 16, 4, 1) for i in range(256)]
     events += [(EV_WRITE, (i % 8) * 16, 4, 1) for i in range(64)]
     traces = [make_trace(events)] * 2
@@ -489,7 +494,7 @@ def test_horizon_requires_pristine_machine():
     """A machine carrying another run's residue falls back to batched:
     the classifier cannot see lines this trace set never touches."""
     events = [(EV_READ, i * CONFIG.l1_line, 4, 1) for i in range(64)]
-    machine = NumaMachine(CONFIG)
+    machine = NumaMachine(CONFIG, home_fn=home)
     assert machine.is_pristine()
     il = Interleaver(machine)
     il.run_traces([make_trace(events) for _ in range(2)], kernel="horizon")
@@ -500,7 +505,7 @@ def test_horizon_requires_pristine_machine():
     assert registry().value("interleave.kernel.fallback.warm_machine") \
         == before + 1
     # The warm rerun (batched fallback) matches a scalar warm rerun.
-    m2 = NumaMachine(CONFIG)
+    m2 = NumaMachine(CONFIG, home_fn=home)
     il2 = Interleaver(m2)
     il2.run_traces([make_trace(events) for _ in range(2)], kernel="scalar")
     il2.run_traces([make_trace(events) for _ in range(2)], kernel="scalar")

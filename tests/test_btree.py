@@ -1,7 +1,5 @@
 """Unit and property tests for the page-based B+-tree."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +37,7 @@ def test_empty_index():
     ix, _, _ = make_index([])
     ix.check_invariants()
     assert drain(ix.search(5)) == []
-    assert scan_rids(ix.full_scan()) == []
+    assert scan_rids(ix.scan_range()) == []
 
 
 def test_search_exact():
@@ -65,13 +63,13 @@ def test_range_scan_open_bounds():
     ix, _, _ = make_index(list(range(50)))
     assert scan_rids(ix.scan_range(lo=45)) == list(range(45, 50))
     assert scan_rids(ix.scan_range(hi=4)) == list(range(5))
-    assert len(scan_rids(ix.full_scan())) == 50
+    assert len(scan_rids(ix.scan_range())) == 50
 
 
 def test_full_scan_returns_key_order():
     vals = [5, 3, 9, 1, 7]
     ix, table, _ = make_index(vals)
-    rids = scan_rids(ix.full_scan())
+    rids = scan_rids(ix.scan_range())
     keys = [table.rows[r][0] for r in rids]
     assert keys == sorted(vals)
 

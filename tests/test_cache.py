@@ -12,7 +12,6 @@ def test_geometry_direct_mapped():
     c = Cache(1024, 32, assoc=1)
     assert c.n_sets == 32
     assert c.line_shift == 5
-    assert c.line_of(0x1234) == 0x1234 >> 5
 
 
 def test_geometry_set_associative():
@@ -32,9 +31,9 @@ def test_invalid_geometry_rejected():
 
 def test_miss_then_hit():
     c = Cache(1024, 32)
-    assert not c.lookup(5)
+    assert not c.contains(5)
     c.insert(5)
-    assert c.lookup(5)
+    assert c.contains(5)
 
 
 def test_direct_mapped_conflict_eviction():
@@ -42,8 +41,8 @@ def test_direct_mapped_conflict_eviction():
     c.insert(1)
     evicted = c.insert(1 + 32)  # same set
     assert evicted == 1
-    assert not c.lookup(1)
-    assert c.lookup(33)
+    assert not c.contains(1)
+    assert c.contains(33)
 
 
 def test_two_way_lru_order():
@@ -51,7 +50,7 @@ def test_two_way_lru_order():
     a, b, d = 1, 33, 65  # all map to set 1
     c.insert(a)
     c.insert(b)
-    c.lookup(a)  # a becomes MRU
+    c.insert(a)  # a hit: a becomes MRU
     evicted = c.insert(d)
     assert evicted == b  # b was LRU
 
@@ -93,21 +92,6 @@ def test_invalidate_absent_line_returns_false():
     assert not c.invalidate(77)
 
 
-def test_flush_keeps_cold_history():
-    c = Cache(1024, 32)
-    c.insert(3)
-    c.flush()
-    assert not c.lookup(3)
-    assert c.classify_miss(3) == MISS_CONFLICT  # seen before
-
-
-def test_clear_history_resets_cold():
-    c = Cache(1024, 32)
-    c.insert(3)
-    c.clear_history()
-    assert c.classify_miss(3) == MISS_COLD
-
-
 def test_contains_does_not_touch_lru():
     c = Cache(2048, 32, assoc=2)
     a, b, d = 1, 33, 65
@@ -118,26 +102,22 @@ def test_contains_does_not_touch_lru():
     assert evicted == a
 
 
-def test_resident_lines():
-    c = Cache(1024, 32)
-    for line in (1, 2, 3):
-        c.insert(line)
-    assert sorted(c.resident_lines()) == [1, 2, 3]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
                 max_size=300))
 def test_cache_agrees_with_naive_lru_model(lines):
-    """Property: the cache behaves like a per-set LRU list model."""
+    """Property: the cache behaves like a per-set LRU list model.  Each
+    access probes with ``contains`` and then calls ``insert``, which fills
+    a miss and moves a hit to the MRU way, as the engines' probes do."""
     c = Cache(512, 32, assoc=2)  # 8 sets, 2 ways
     model = {s: [] for s in range(8)}
     for line in lines:
         s = line % 8
-        hit = c.lookup(line)
+        hit = c.contains(line)
         assert hit == (line in model[s])
+        evicted = c.insert(line)
         if not hit:
-            c.insert(line)
+            assert evicted == (model[s][-1] if len(model[s]) == 2 else None)
             model[s].insert(0, line)
             if len(model[s]) > 2:
                 model[s].pop()
@@ -160,9 +140,9 @@ def test_miss_classification_taxonomy(ops):
         s = line % 8
         if op == "access":
             if resident.get(s) == line:
-                assert c.lookup(line)
+                assert c.contains(line)
             else:
-                assert not c.lookup(line)
+                assert not c.contains(line)
                 kind = c.classify_miss(line)
                 if line not in seen:
                     assert kind == MISS_COLD

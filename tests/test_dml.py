@@ -1,9 +1,10 @@
-"""DML tests: INSERT / DELETE / UPDATE semantics, locking, and tracing."""
+"""DML tests: INSERT / DELETE semantics, locking, and tracing."""
 
 import pytest
 
 from repro.db.dml import DmlError
 from repro.db.locks import LockConflictError
+from repro.db.sql import SqlError
 from repro.db.tracing import collect, drain
 from repro.memsim.events import DataClass, EV_LOCK_ACQ, EV_WRITE
 from repro.tpcd.updates import uf1_statements, uf2_statements
@@ -57,25 +58,10 @@ def test_delete_everything(toy_db):
     assert toy_db.run("SELECT COUNT(*) AS n FROM tb").rows == [[0]]
 
 
-def test_update_values_and_queries_agree(toy_db):
-    count = toy_db.run("UPDATE ta SET a_val = a_val + 100 WHERE a_val < 3")
-    assert count > 0
-    assert toy_db.run("SELECT COUNT(*) AS n FROM ta WHERE a_val < 3").rows == [[0]]
-    got = toy_db.run(f"SELECT COUNT(*) AS n FROM ta WHERE a_val >= 100").rows
-    assert got == [[count]]
-
-
-def test_update_indexed_column_moves_index_entries(toy_db):
-    toy_db.run("UPDATE ta SET a_key = 7777 WHERE a_key = 3")
-    ix = toy_db.indexes["ix_a_key"]
-    assert drain(ix.search(3)) == []
-    assert len(drain(ix.search(7777))) == 1
-    ix.check_invariants()
-
-
-def test_update_unknown_column_rejected(toy_db):
-    with pytest.raises(DmlError):
-        toy_db.run("UPDATE ta SET bogus = 1")
+def test_update_statement_rejected(toy_db):
+    """Only INSERT and DELETE are DML here (UF1/UF2 need no more)."""
+    with pytest.raises(SqlError):
+        toy_db.run("UPDATE ta SET a_val = 1")
 
 
 def test_dml_emits_data_writes_and_write_lock(toy_db):
@@ -113,7 +99,6 @@ def test_locks_released_after_dml(toy_db):
 def test_select_after_mixed_dml_matches_reference(toy_db):
     toy_db.run("INSERT INTO ta VALUES (9600, 5, 'red')")
     toy_db.run("DELETE FROM ta WHERE a_val = 1")
-    toy_db.run("UPDATE ta SET a_val = 0 WHERE a_val = 2")
     sql = "SELECT a_key, a_val, a_tag FROM ta WHERE a_val < 6"
     assert norm_rows(toy_db.run(sql).rows) == \
         norm_rows(toy_db.run_reference(sql))

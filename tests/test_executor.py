@@ -1,8 +1,6 @@
 """Executor tests: every operator's results against the reference, and the
 event-stream contracts the simulation relies on."""
 
-import pytest
-
 from repro.db.executor import sort_rows
 from repro.db.tracing import drain
 from repro.memsim.events import (
@@ -20,12 +18,12 @@ def check(db, sql, hints=None):
 
 def test_seq_scan_filter(toy_db):
     got = check(toy_db, "SELECT a_key, a_val FROM ta WHERE a_val < 10")
-    assert len(got) > 0
+    assert len(got.rows) > 0
 
 
 def test_seq_scan_no_filter(toy_db):
     got = check(toy_db, "SELECT a_key FROM ta")
-    assert len(got) == 200
+    assert len(got.rows) == 200
 
 
 def test_index_scan_equality(toy_db):
@@ -74,12 +72,12 @@ def test_group_aggregates(toy_db):
 
 def test_group_without_aggregates_deduplicates(toy_db):
     got = check(toy_db, "SELECT a_tag FROM ta GROUP BY a_tag")
-    assert len(got) == 3
+    assert len(got.rows) == 3
 
 
 def test_ungrouped_aggregate_single_row(toy_db):
     got = check(toy_db, "SELECT SUM(b_amt) AS total, COUNT(*) AS n FROM tb")
-    assert len(got) == 1
+    assert len(got.rows) == 1
 
 
 def test_aggregate_over_empty_input(toy_db):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.expr import (
-    AggCall, And, Between, BinOp, Cmp, Col, Const, InList, Like, Not, Or,
+    AggCall, And, Between, BinOp, Cmp, Col, Const, InList, Not, Or,
     columns_of, compile_expr, contains_agg, like_matcher, op_count,
 )
 

@@ -27,7 +27,7 @@ def test_fenwick_prefix_sums():
 def test_counts_and_footprint():
     events = [read(0, 8, DATA), read(32, 8, DATA), read(0, 8, DATA)]
     rep = analyze(events, line_size=32)
-    cl = rep.per_class(DATA)
+    cl = rep.classes[DATA]
     assert cl.refs == 3
     assert cl.bytes == 24
     assert cl.footprint == 64  # two distinct 32-byte lines
@@ -36,7 +36,7 @@ def test_counts_and_footprint():
 def test_cold_vs_reuse_classification():
     events = [read(0, 8, DATA), read(64, 8, DATA), read(0, 8, DATA)]
     rep = analyze(events, line_size=32)
-    cl = rep.per_class(DATA)
+    cl = rep.classes[DATA]
     assert cl.cold == 2
     assert sum(cl.reuse_hist) == 1
 
@@ -47,7 +47,7 @@ def test_reuse_distance_exact():
     events += [read((i + 1) * 64, 4, DATA) for i in range(10)]
     events += [read(0, 4, DATA)]
     rep = analyze(events, line_size=32)
-    cl = rep.per_class(DATA)
+    cl = rep.classes[DATA]
     # Distance 10 falls in the "<64" bucket, not "<8".
     hist = cl.reuse_histogram()
     assert hist["<8"] == 0
@@ -57,48 +57,48 @@ def test_reuse_distance_exact():
 def test_immediate_reuse_is_short_distance():
     events = [read(0, 4, DATA), read(0, 4, DATA)]
     rep = analyze(events, line_size=32)
-    assert rep.per_class(DATA).reuse_histogram()["<8"] == 1
+    assert rep.classes[DATA].reuse_histogram()["<8"] == 1
 
 
 def test_sequential_fraction():
     seq = [read(i * 32, 32, DATA) for i in range(50)]
     rep = analyze(seq, line_size=32)
-    assert rep.per_class(DATA).sequential_fraction > 0.9
+    assert rep.classes[DATA].sequential_fraction > 0.9
     scattered = [read((i * 7919 % 997) * 4096, 8, DATA) for i in range(50)]
     rep2 = analyze(scattered, line_size=32)
-    assert rep2.per_class(DATA).sequential_fraction < 0.2
+    assert rep2.classes[DATA].sequential_fraction < 0.2
 
 
 def test_line_utilization():
     # 8 bytes touched of each 32-byte line.
     rep = analyze([read(i * 32, 8, DATA) for i in range(10)], line_size=32)
-    assert rep.per_class(DATA).line_utilization == pytest.approx(0.25)
+    assert rep.classes[DATA].line_utilization == pytest.approx(0.25)
     # Whole lines touched.
     rep2 = analyze([read(i * 32, 32, DATA) for i in range(10)], line_size=32)
-    assert rep2.per_class(DATA).line_utilization == pytest.approx(1.0)
+    assert rep2.classes[DATA].line_utilization == pytest.approx(1.0)
 
 
 def test_classes_tracked_separately():
     events = [read(0, 8, DATA), read(0, 8, INDEX), write(64, 8, PRIV)]
     rep = analyze(events)
-    assert rep.per_class(DATA).refs == 1
-    assert rep.per_class(INDEX).refs == 1
-    assert rep.per_class(PRIV).refs == 1
+    assert rep.classes[DATA].refs == 1
+    assert rep.classes[INDEX].refs == 1
+    assert rep.classes[PRIV].refs == 1
     assert "Data" in rep.summary() and "Priv" in rep.summary()
 
 
 def test_non_memory_events_ignored():
     rep = analyze([busy(100), [1, 2, 3], read(0, 4, DATA)])
-    assert rep.per_class(DATA).refs == 1
+    assert rep.classes[DATA].refs == 1
 
 
 def test_temporal_score_bounds():
     hot = [read(0, 4, DATA) for _ in range(100)]
     rep = analyze(hot)
-    assert rep.per_class(DATA).temporal_score() > 0.9
+    assert rep.classes[DATA].temporal_score() > 0.9
     stream = [read(i * 64, 4, DATA) for i in range(100)]
     rep2 = analyze(stream)
-    assert rep2.per_class(DATA).temporal_score() == 0.0
+    assert rep2.classes[DATA].temporal_score() == 0.0
 
 
 # -- the paper's section-3 claims, measured on real queries -------------------------
@@ -123,7 +123,7 @@ def q3_report(tiny_db):
 def test_q6_data_has_spatial_but_no_temporal_locality(q6_report):
     """'There is abundant spatial locality... there is, however, no reuse
     of a tuple within a query' (section 3.2)."""
-    data = q6_report.per_class(DataClass.DATA)
+    data = q6_report.classes[DataClass.DATA]
     assert data.sequential_fraction > 0.5
     # Reuses are essentially the immediate re-read of checked attributes;
     # long-distance reuse is negligible and most lines are touched cold.
@@ -135,20 +135,20 @@ def test_q6_data_has_spatial_but_no_temporal_locality(q6_report):
 def test_q3_index_has_temporal_locality(q3_report):
     """'The top levels of the index tree are re-read every time a new
     customer is considered' (section 3.1)."""
-    index = q3_report.per_class(DataClass.INDEX)
+    index = q3_report.classes[DataClass.INDEX]
     assert index.refs > 0
     assert index.temporal_score(capacity_lines=512) > 0.3
 
 
 def test_q3_data_not_sequential(q3_report, q6_report):
     """Index queries fetch scattered tuples; sequential queries stream."""
-    assert q3_report.per_class(DataClass.DATA).sequential_fraction < \
-        q6_report.per_class(DataClass.DATA).sequential_fraction
+    assert q3_report.classes[DataClass.DATA].sequential_fraction < \
+        q6_report.classes[DataClass.DATA].sequential_fraction
 
 
 def test_q3_lockslock_footprint_tiny(q3_report):
     """Metadata structures have a tiny footprint (section 4.2)."""
-    lock = q3_report.per_class(DataClass.LOCKSLOCK)
+    lock = q3_report.classes[DataClass.LOCKSLOCK]
     assert lock.refs > 0
     assert lock.footprint <= 64
     # Every non-cold access to the single lock word re-uses it; measured

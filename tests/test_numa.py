@@ -27,11 +27,6 @@ def test_config_replace_roundtrip():
     assert cfg2.l1_size == cfg.l1_size
 
 
-def test_with_lines_keeps_ratio():
-    cfg = MachineConfig().with_lines(128)
-    assert cfg.l1_line == 64 and cfg.l2_line == 128
-
-
 def test_local_read_latency_chain():
     m = machine()
     # Cold: L2 miss to local memory.
@@ -39,7 +34,7 @@ def test_local_read_latency_chain():
     # L1 hit now.
     assert m.read(0, 0x1000, 4, DATA, 10) == 0
     # Evict from L1 only: refill from L2.
-    m.l1[0].invalidate(m.l1[0].line_of(0x1000))
+    m.l1[0].invalidate(0x1000 >> 5)
     assert m.read(0, 0x1000, 4, DATA, 20) == m.lat_l2
 
 
@@ -65,9 +60,8 @@ def test_write_invalidates_other_copies():
     m.read(0, 0x1000, 4, DATA, 0)
     m.read(1, 0x1000, 4, DATA, 0)
     m.write(2, 0x1000, 4, DATA, 100)
-    line1 = m.l1[0].line_of(0x1000)
-    assert not m.l1[0].contains(line1)
-    assert not m.l2[0].contains(m.l2[0].line_of(0x1000))
+    assert not m.l1[0].contains(0x1000 >> 5)
+    assert not m.l2[0].contains(0x1000 >> 6)
     # Next read by node 0 classifies as a coherence miss.
     m.read(0, 0x1000, 4, DATA, 200)
     assert m.stats.l1_read_misses[DATA][2] >= 1  # MISS_COHERENCE
@@ -168,4 +162,4 @@ def test_directory_invariants_after_traffic():
         m.read(node, (i * 52) % 4096, 4, DATA, i * 10)
         if i % 3 == 0:
             m.write(node, (i * 52) % 4096, 4, DATA, i * 10)
-    m.directory.check_invariants()
+    m.check_invariants()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.db.plan import (
-    Group, HashJoin, IndexScan, MergeJoin, NestLoop, Project, SeqScan, Sort,
-    explain, operator_set, walk,
+    HashJoin, IndexScan, MergeJoin, NestLoop, Project, SeqScan, Sort,
+    operator_set, walk,
 )
 from repro.db.planner import PlanError
 

@@ -6,7 +6,6 @@ evaluator, traced vs untraced execution, different join algorithms, and
 the reference-counting/locking invariants after arbitrary query sequences.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.datatypes import Schema, char, int4

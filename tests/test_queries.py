@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.db.plan import operator_set
 from repro.db.sql import parse
 from repro.tpcd.queries import (
     QUERY_IDS, TABLE1_OPERATORS, query_category, query_instance,

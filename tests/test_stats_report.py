@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import format_table, normalize, percent
+from repro.core.report import format_table, percent
 from repro.memsim.events import DataClass
 from repro.memsim.stats import CpuStats, MachineStats, merge_cpu_stats
 
@@ -33,7 +33,6 @@ def test_miss_rate_zero_denominator():
 def test_misses_by_class():
     s = MachineStats()
     s.l1_read_misses[DataClass.INDEX] = [1, 2, 3]
-    assert s.l1_misses_by_class()[DataClass.INDEX] == 6
     assert s.total_l1_read_misses() == 6
 
 
@@ -73,17 +72,6 @@ def test_reset_zeroes_everything():
 def test_percent_formatting():
     assert percent(0.123) == "12.3%"
     assert percent(0.5, digits=0) == "50%"
-
-
-def test_normalize_to_100():
-    out = normalize({"a": 1, "b": 3})
-    assert out == {"a": 25.0, "b": 75.0}
-    assert normalize({"a": 0, "b": 0}) == {"a": 0.0, "b": 0.0}
-
-
-def test_normalize_against_reference():
-    out = normalize({"a": 1}, reference={"x": 2, "y": 2})
-    assert out == {"a": 25.0}
 
 
 def test_format_table_alignment_and_title():

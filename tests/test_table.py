@@ -55,16 +55,11 @@ def test_attr_addr_classifies_as_data():
     assert shm.classify(t.attr_addr(10, 1)) == DataClass.DATA
 
 
-def test_value_access():
-    t, _ = make_table()
-    assert t.value(42, 0) == 42
-
-
 def test_append_returns_rid():
     t, _ = make_table(rows=10)
     rid = t.append([999, "zz"])
     assert rid == 10
-    assert t.value(rid, 0) == 999
+    assert t.rows[rid][0] == 999
 
 
 def test_load_rejects_wrong_arity():

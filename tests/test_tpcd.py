@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.datatypes import date_to_num
 from repro.tpcd.dbgen import END_DATE, START_DATE, populate, table_cardinalities
-from repro.tpcd.scales import SCALES, Scale, get_scale
+from repro.tpcd.scales import SCALES, get_scale
 from repro.tpcd.schema import INDEX_DEFS, SEGMENTS, SHIPMODES, TABLE_SCHEMAS
 
 

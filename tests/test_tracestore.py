@@ -26,12 +26,10 @@ from repro.core.tracestore import (
     corruption_stats,
     decode_trace,
     encode_trace,
-    iter_traces,
     load_trace,
     save_trace,
     set_strict,
     store_key,
-    stored_key,
     trace_filename,
 )
 from repro.db.shmem import shared_home_fn
@@ -132,7 +130,7 @@ def test_wide_column_store_loads_and_replays_identically(tmp_path):
 def test_stored_key_peek_and_filename():
     trace = _trace("Q6")
     key = _key("Q6")
-    assert stored_key(encode_trace(key, trace)) == key
+    assert decode_trace(encode_trace(key, trace))[1] == key
     name = trace_filename(key)
     assert name.endswith(".trace")
     assert "Q6" in name
@@ -247,29 +245,16 @@ def test_header_bit_flip_fails_the_checksum(tmp_path):
     assert_traces_equal(recorded, trace)
 
 
-def test_iter_traces_skips_damaged_and_foreign_files(tmp_path):
-    cache = _fresh_cache(tmp_path)
-    cache.get("Q6", 0, 0)
-    cache.get("Q6", 1, 1)
-    (tmp_path / "notes.txt").write_text("not a trace")
-    (tmp_path / "broken.trace").write_bytes(b"RPTRgarbage")
-    found = {key for key, _, _ in iter_traces(tmp_path)}
-    assert found == {_key("Q6", 0, 0), _key("Q6", 1, 1)}
-
-
-def test_save_to_and_load_from(tmp_path):
+def test_store_entries_are_keyed_by_database_seed(tmp_path):
+    """A trace stored for one database seed never serves another."""
+    _fresh_cache(tmp_path).get("Q6", 0, 0)
     shared = workload_trace_cache(SCALE)
-    source = TraceCache(shared.db, SCALE, db_seed=42)
-    source.get("Q6", 0, 0)
-    source.get("Q12", 0, 0)
-    assert source.save_to(str(tmp_path)) > 0
-
-    dest = TraceCache(shared.db, SCALE, db_seed=42)
-    assert dest.load_from(str(tmp_path)) == 2
-    assert len(dest) == 2
-    # A cache for a different database seed matches nothing.
-    other = TraceCache(shared.db, SCALE, db_seed=7)
-    assert other.load_from(str(tmp_path)) == 0
+    other = TraceCache(shared.db, SCALE, trace_dir=str(tmp_path), db_seed=7)
+    other.get("Q6", 0, 0)
+    assert other.loads == 0 and other.records == 1
+    again = _fresh_cache(tmp_path)
+    again.get("Q6", 0, 0)
+    assert again.loads == 1 and again.records == 0
 
 
 def test_lazy_database_stays_unbuilt_on_warm_store(tmp_path):
@@ -349,8 +334,6 @@ def test_strict_mode_raises_instead_of_falling_back(tmp_path):
     key = _damage_entry(tmp_path)
     with pytest.raises(TraceStoreError):
         load_trace(tmp_path, key, strict=True)
-    with pytest.raises(TraceStoreError):
-        list(iter_traces(tmp_path, strict=True))
     # The global switch (--strict-store) has the same effect.
     set_strict(True)
     try:

@@ -219,6 +219,18 @@ def test_workers_backend_matches_serial(tmp_path, serial3):
         assert len(ledger.completed) == 3
 
 
+def test_sweep_results_independent_of_jobs():
+    """One sweep, three worker counts, one answer.  With per-point futures
+    there is no chunking: any split of points over workers must reproduce
+    the serial summaries bit for bit, including when points outnumber the
+    pool and the submission window has to cycle."""
+    points = _points(4)
+    serial = run_sweep(points, scale=SCALE, jobs=1)
+    for jobs in (2, 3):
+        clear_variant_cache()   # force the points through the pool
+        assert run_sweep(points, scale=SCALE, jobs=jobs) == serial
+
+
 def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):
     # One worker kill, one corrupt result frame, one heartbeat stall --
     # every protocol-level failure mode in one sweep.

@@ -7,7 +7,6 @@ session scheduler must spread clients evenly.  Hypothesis generates the
 specs; one test crosses a process boundary for real.
 """
 
-import json
 import subprocess
 import sys
 from collections import Counter

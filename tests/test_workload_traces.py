@@ -222,7 +222,7 @@ def test_query_traces_keep_process_lifetime_caching(trace_refs):
     run_sweep([point], scale=SCALE)
     gc.collect()
     cache = workload_trace_cache(SCALE)
-    assert len(cache) == point.n_procs
+    assert cache.stats()["traces"] == point.n_procs
     assert cache.stats()["released"] == 0
     traces = [ref() for ref in trace_refs]
     assert all(t is not None for t in traces)
