@@ -194,10 +194,12 @@ def _interrupt_and_resume(serial, ckpt):
 
 
 def main():
+    from repro.core import RunConfig
     from repro.core.sweep import run_sweep
 
     seed = int(os.environ.get("CHAOS_SEED", "42"))
-    serial = run_sweep(_points() + _points(n_procs=2), scale="tiny", jobs=1)
+    serial = run_sweep(_points() + _points(n_procs=2), scale="tiny",
+                       config=RunConfig(scale="tiny", jobs=1))
     serial4 = {p.key: serial[p.key] for p in _points()}
 
     with tempfile.TemporaryDirectory() as d:

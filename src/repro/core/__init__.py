@@ -8,10 +8,11 @@ on.
 This package is the stable API surface: library callers import from
 ``repro.core`` (everything in ``__all__``), not from the submodules, whose
 internals may move.  The run-level entry points are :class:`RunConfig`
-(one frozen config object for a whole run), :func:`configure_run` (apply
-it process-wide), and :func:`run_experiments` (the library face of the
-``repro-experiments`` CLI); :class:`~repro.obs.metrics.MetricsRegistry`
-re-exports the observability layer's metric store.
+(one frozen config object for a whole run), :func:`configure_run` (make
+it the process default for calls handed none), and
+:func:`run_experiments` (the library face of the ``repro-experiments``
+CLI); :class:`~repro.obs.metrics.MetricsRegistry` re-exports the
+observability layer's metric store.
 """
 
 from repro.obs.metrics import MetricsRegistry
@@ -21,7 +22,6 @@ from repro.core.experiment import (
     run_mixed_workload,
     run_query_workload,
     run_warm_workload,
-    set_trace_dir,
     trace_cache_stats,
     workload_database,
     workload_trace_cache,
@@ -88,7 +88,6 @@ __all__ = [
     "run_mixed_workload",
     "run_query_workload",
     "run_warm_workload",
-    "set_trace_dir",
     "trace_cache_stats",
     "workload_database",
     "workload_trace_cache",

@@ -69,8 +69,7 @@ from repro.core.sweep import (
     _POINT_SECONDS_BUCKETS, _needed_traces, _point_cache_key, _store_keys,
     _sup_count, _trace_for, _valid_summary, run_point,
 )
-from repro.core.tracestore import get_strict, save_trace, trace_filename
-from repro.memsim.batch import default_kernel
+from repro.core.tracestore import save_trace, trace_filename
 from repro.obs import events as obs_events
 from repro.obs.metrics import registry
 from repro.obs.spans import span
@@ -208,7 +207,8 @@ class WorkerTransport:
     All state is instance-local (nothing module-global is written), the
     parent's clocks are monotonic, and every worker transition emits an obs
     event -- ``--progress`` renders the workers' health live.  At most
-    ``config.jobs`` workers run at once, never more than the points.
+    ``config.jobs`` workers run at once, never more than the points, and
+    each replays on ``config.kernel``.
     """
 
     name = "workers"
@@ -221,30 +221,29 @@ class WorkerTransport:
         self.todo = todo
         self.scale = scale
         self.seed = seed
+        self.kernel = config.kernel
         self.capacity = min(len(todo), config.jobs)
         self.lease_ttl = float(config.lease_ttl or 30.0)
         self.workers = {}
         self._events = []
         self._next_wid = 0
         self._lost = 0            # dead workers not yet replaced
-        self._spool_traces(config.checkpoint_dir)
+        self._spool_traces(config)
         self.sel = selectors.DefaultSelector()
 
-    def _spool_traces(self, checkpoint_dir):
+    def _spool_traces(self, config):
         """Make every needed trace loadable by store key.
 
-        The spool is the configured trace store when there is one (the
-        traces are already, or become, regular store entries); otherwise a
-        directory under the checkpoint dir, or a private temp dir.  The
+        The spool is ``config``'s trace store when it has one (the traces
+        are already, or become, regular store entries); otherwise a
+        directory under its checkpoint dir, or a private temp dir.  The
         workers receive only the keys -- ship-by-hash, never pickled
         arrays.
         """
-        from repro.core.experiment import get_trace_dir
-
-        self._spool = get_trace_dir()
+        self._spool = config.trace_dir
         self._own_spool = False
-        if self._spool is None and checkpoint_dir is not None:
-            self._spool = os.path.join(checkpoint_dir, "trace-spool")
+        if self._spool is None and config.checkpoint_dir is not None:
+            self._spool = os.path.join(config.checkpoint_dir, "trace-spool")
         elif self._spool is None:
             self._spool = tempfile.mkdtemp(prefix="repro-spool-")
             self._own_spool = True
@@ -253,7 +252,7 @@ class WorkerTransport:
                 path = os.path.join(self._spool, trace_filename(skey))
                 if not os.path.exists(path):
                     save_trace(self._spool, skey,
-                               _trace_for(self.scale, skey))
+                               _trace_for(self.scale, skey, config))
 
     # -- the transport interface -------------------------------------------
 
@@ -371,8 +370,7 @@ class WorkerTransport:
             w.send({"op": "init", "worker": wid, "scale": self.scale.name,
                     "seed": self.seed, "store_dir": self._spool,
                     "heartbeat": _heartbeat_interval(self.lease_ttl),
-                    "lease_ttl": self.lease_ttl,
-                    "strict": get_strict(), "kernel": default_kernel()})
+                    "lease_ttl": self.lease_ttl, "kernel": self.kernel})
         except OSError as exc:
             obs_events.emit("worker.spawn_failed", worker=wid,
                             error=str(exc))
@@ -494,7 +492,8 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
     """Run ``todo`` on ``transport``; return summaries in ``todo`` order.
 
     ``config`` is the run's :class:`~repro.core.run.RunConfig`, read for
-    ``point_timeout``, ``retries`` and ``backoff``; ``clock`` times
+    ``point_timeout``, ``retries`` and ``backoff``, and passed whole to the
+    in-process fallback (:func:`~repro.core.sweep.run_point`); ``clock`` times
     dispatches, backoff embargoes and the per-point timeout.  At most
     ``transport.free_slots()`` points are in flight, dispatched in list
     order.  Every recovery decision is made here, once -- see the module docstring and
@@ -613,7 +612,7 @@ def supervise(transport, todo, scale, seed, config, ledger=None,
     # fire).
     for i in sorted(fallback):
         try:
-            summary = run_point(todo[i], scale, seed=seed)
+            summary = run_point(todo[i], scale, seed, config)
         except Exception as exc:
             raise _point_failure(
                 todo[i], attempts[i], exc,

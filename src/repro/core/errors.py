@@ -41,9 +41,14 @@ class TraceStoreError(ReproError):
 
     ``cause`` classifies the damage for the corruption counters:
     ``"truncated"``, ``"checksum"``, ``"format"``, ``"header"``, ``"key"``,
-    ``"arrays"``, ``"rows"``, or ``"other"``.  Retryable: the caller can
-    re-record (or the sweep parent can re-spool) the entry.
+    ``"arrays"``, ``"rows"``, or ``"other"``.  Not retryable: another
+    worker would read the same damaged entry, so the sweep supervisor hands
+    the point straight to the parent, which re-records it (or, in strict
+    mode, fails).  :func:`~repro.core.tracestore.load_trace` already
+    re-reads once on a write race.
     """
+
+    retryable = False
 
     def __init__(self, message, cause="other"):
         super().__init__(message)

@@ -7,6 +7,7 @@ discarded -- unless a warm-start is requested explicitly, which is how the
 inter-query temporal locality experiment (Figure 12) is built.
 """
 
+from repro.core.run import current_run_config
 from repro.core.tracecache import TraceCache
 from repro.db.shmem import shared_home_fn
 from repro.obs.spans import span
@@ -19,27 +20,6 @@ from repro.tpcd.scales import get_scale
 
 _DB_CACHE = {}
 _TRACE_CACHE = {}
-
-#: Directory for the persistent trace store (``None`` disables it).  Set
-#: via :func:`set_trace_dir` (the ``repro-experiments --trace-dir`` flag);
-#: newly created shared trace caches read through to it.
-_TRACE_DIR = None
-
-
-def set_trace_dir(path):
-    """Point the shared trace caches at a persistent store directory.
-
-    Affects caches created afterwards (callers set it before running
-    experiments); ``None`` turns persistence back off.  Existing caches
-    keep the directory they were created with.
-    """
-    global _TRACE_DIR
-    _TRACE_DIR = path
-
-
-def get_trace_dir():
-    """The configured persistent trace-store directory, or ``None``."""
-    return _TRACE_DIR
 
 
 def workload_database(scale="small", seed=42):
@@ -57,20 +37,26 @@ def workload_database(scale="small", seed=42):
     return _DB_CACHE[key]
 
 
-def workload_trace_cache(scale="small", seed=42):
+def workload_trace_cache(scale="small", seed=42, config=None):
     """The shared :class:`TraceCache` over :func:`workload_database`.
 
     Cached per ``(scale, seed)`` exactly like the databases: sweeps that
     vary only the machine configuration replay the same recorded streams.
     The backing database is lazy -- a run whose traces all come from the
-    persistent store never builds it.
+    persistent store never builds it.  ``config`` (default: the process
+    default, :func:`repro.core.run.current_run_config`) supplies the
+    persistent store directory and strict-store mode, and the cache is
+    also keyed by them: two configs never share a cache that reads
+    another store.
     """
     scale = get_scale(scale)
-    key = (scale.name, seed)
+    config = config or current_run_config()
+    key = (scale.name, seed, config.trace_dir, config.strict_store)
     if key not in _TRACE_CACHE:
         _TRACE_CACHE[key] = TraceCache(
             lambda: workload_database(scale, seed), scale,
-            trace_dir=_TRACE_DIR, db_seed=seed)
+            trace_dir=config.trace_dir, db_seed=seed,
+            strict_store=config.strict_store)
     return _TRACE_CACHE[key]
 
 

@@ -9,16 +9,15 @@ runner -> sweep -> supervisor:
     >>> configure_run(cfg)
     >>> outcome = run_experiments(["fig8", "fig9"], cfg)
 
-:func:`configure_run` stores the config as the process default that
-:func:`repro.core.sweep.run_sweep` falls back to when it is not handed one.
-The trace directory, strict-store mode and replay kernel also have setters
-of their own (``set_trace_dir`` and friends), so those three are read back
-from their stores: :func:`current_run_config` is always what a sweep
-started now would run under.
+The config a call is handed is the whole configuration of that call:
+sweeps, trace caches, worker processes and the replay kernel all read
+the config they were passed.  :func:`configure_run` stores the one
+process default, which a call that gets no config runs under
+(:func:`current_run_config`), and switches the observability layer on.
 """
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.obs import enable as _obs_enable
@@ -30,9 +29,10 @@ from repro.obs.spans import span
 class RunConfig:
     """Everything a run of the experiment harness can be told once.
 
-    Frozen: derive variants with :meth:`with_options` (or
-    ``dataclasses.replace``), never by mutation -- a config handed to a
-    sweep is immutable for the sweep's lifetime.
+    Frozen: derive variants with ``dataclasses.replace``, never by
+    mutation -- a config handed to a sweep is immutable for the sweep's
+    lifetime, and it is all the sweep reads: two calls with two configs in
+    one process run under their own settings.
 
     ``scale``/``jobs`` select the workload sizing and worker processes;
     ``trace_dir`` the persistent trace store; ``checkpoint_dir``,
@@ -41,7 +41,8 @@ class RunConfig:
     ``report_out`` and ``progress`` drive the observability layer
     (:mod:`repro.obs`); ``kernel`` picks the replay dispatch engine
     (``auto``/``batched``/``horizon``/``scalar``; see
-    :mod:`repro.memsim.batch` and :mod:`repro.memsim.horizon`).
+    :mod:`repro.memsim.batch` and :mod:`repro.memsim.horizon`); an
+    unknown name raises ``ValueError`` when the config is built.
 
     A sweep with more than one memo miss fans out over
     ``repro-sweep-worker`` subprocesses (:mod:`repro.core.backend`), as
@@ -69,13 +70,14 @@ class RunConfig:
     workers: int = 0
     lease_ttl: float = 30.0
 
+    def __post_init__(self):
+        from repro.memsim.batch import check_kernel
+
+        check_kernel(self.kernel)
+
     def as_dict(self):
         """Plain-dict view (the run report embeds this under ``config``)."""
         return asdict(self)
-
-    def with_options(self, **changes):
-        """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""
-        return replace(self, **changes)
 
 
 #: The last config applied by :func:`configure_run`.
@@ -83,40 +85,26 @@ _CURRENT = RunConfig()
 
 
 def configure_run(config):
-    """Apply ``config`` to the process: the one call the CLI makes.
+    """Make ``config`` the process default: the one call the CLI makes.
 
-    Stores it as the process default for sweeps, sets the persistent-trace
-    directory, strict-store mode and replay kernel, and switches the
-    observability layer on when the config asks for a report or live
-    progress.  Library callers that want per-call behaviour instead pass a
-    config directly to :func:`repro.core.sweep.run_sweep`.
+    Calls that are handed no config run under it -- :func:`run_experiments`,
+    :func:`repro.core.sweep.run_sweep`,
+    :func:`repro.core.experiment.workload_trace_cache` and
+    :func:`repro.memsim.batch.resolve_kernel` with no argument.  Also
+    switches the observability layer on when the config asks for a report
+    or live progress.
     """
     global _CURRENT
-    from repro.core import tracestore
-    from repro.core.experiment import set_trace_dir
-    from repro.memsim.batch import set_default_kernel
-
     _CURRENT = config
-    set_trace_dir(config.trace_dir)
-    tracestore.set_strict(config.strict_store)
-    set_default_kernel(config.kernel)
     if config.report_out or config.progress:
         _obs_enable()
     return config
 
 
-def current_run_config(**overrides):
-    """The process's effective :class:`RunConfig`: the one
-    :func:`configure_run` stored, with the trace directory, strict-store
-    mode and kernel read back from their own stores (so direct
-    ``set_trace_dir`` calls are reflected) and ``overrides`` applied."""
-    from repro.core import tracestore
-    from repro.core.experiment import get_trace_dir
-    from repro.memsim.batch import default_kernel
-
-    return replace(_CURRENT, trace_dir=get_trace_dir(),
-                   strict_store=tracestore.get_strict(),
-                   kernel=default_kernel(), **overrides)
+def current_run_config():
+    """The process default :class:`RunConfig`: the one
+    :func:`configure_run` stored (frozen, so safe to share)."""
+    return _CURRENT
 
 
 def run_experiments(names, config=None, on_result=None):
@@ -153,7 +141,7 @@ def run_experiments(names, config=None, on_result=None):
             if isinstance(entry, ScenarioSpec):
                 name = entry.name
                 runner = lambda e=entry: run_scenario(
-                    e, scale=config.scale, jobs=config.jobs, config=config)
+                    e, scale=config.scale, config=config)
             else:
                 name = entry
                 runner = lambda n=entry: run_family(n, config)

@@ -116,8 +116,9 @@ def _valid_summary(summary):
 
 # -- per-process database / trace-cache store -----------------------------------
 
-#: ``(scale_name, seed, lock_check_per_rescan) -> TraceCache`` (with a
-#: lazily built database), one entry per variant per process.
+#: ``(scale_name, seed, lock_check_per_rescan, trace_dir, strict_store)
+#: -> TraceCache`` (with a lazily built database), one entry per variant
+#: and store per process.
 _VARIANT_CACHE = {}
 
 #: ``(scale_name, seed, point identity) -> summary``.  Sweep points are
@@ -153,15 +154,17 @@ def _point_cache_key(point, scale, seed):
             point.lock_check_per_rescan)
 
 
-def _variant(scale, seed, lock_check_per_rescan):
-    """The :class:`TraceCache` for one engine variant (lazy database)."""
-    from repro.core.experiment import get_trace_dir, workload_trace_cache
+def _variant(scale, seed, lock_check_per_rescan, config):
+    """The :class:`TraceCache` for one engine variant (lazy database),
+    reading ``config``'s trace store in its strict-store mode."""
+    from repro.core.experiment import workload_trace_cache
     from repro.core.tracecache import TraceCache
     from repro.tpcd.dbgen import build_database
 
     if lock_check_per_rescan:
-        return workload_trace_cache(scale, seed)
-    key = (scale.name, seed, lock_check_per_rescan)
+        return workload_trace_cache(scale, seed, config)
+    key = (scale.name, seed, lock_check_per_rescan, config.trace_dir,
+           config.strict_store)
     if key not in _VARIANT_CACHE:
         def make_db():
             with span("dbgen", scale=scale.name, seed=seed,
@@ -171,9 +174,10 @@ def _variant(scale, seed, lock_check_per_rescan):
             return db
 
         _VARIANT_CACHE[key] = TraceCache(make_db, scale,
-                                         trace_dir=get_trace_dir(),
+                                         trace_dir=config.trace_dir,
                                          db_seed=seed,
-                                         lock_check_per_rescan=False)
+                                         lock_check_per_rescan=False,
+                                         strict_store=config.strict_store)
     return _VARIANT_CACHE[key]
 
 
@@ -241,12 +245,12 @@ def _store_keys(point, scale, seed):
             for i in range(point.n_procs)]
 
 
-def _trace_for(scale, skey):
+def _trace_for(scale, skey, config):
     """The :class:`QueryTrace` stored under ``skey``, from the per-process
     variant caches (recording or store-loading on first use)."""
     _, seed, qid, qseed, node, arena, lock_check = skey
-    return _variant(scale, seed, lock_check).get(qid, qseed, node,
-                                                 arena_size=arena)
+    return _variant(scale, seed, lock_check, config).get(
+        qid, qseed, node, arena_size=arena)
 
 
 def _needed_traces(todo, scale, seed):
@@ -263,8 +267,9 @@ def _needed_traces(todo, scale, seed):
                 yield skey
 
 
-def simulate_point(point, scale, traces):
-    """Replay ``traces`` under ``point``'s machine; return the summary dict.
+def simulate_point(point, scale, traces, kernel):
+    """Replay ``traces`` under ``point``'s machine on the ``kernel`` replay
+    engine (a ``RunConfig.kernel`` name); return the summary dict.
 
     The database-free core of :func:`run_point`, shared with the sweep
     workers: a caller that already holds the recorded traces (the parent's
@@ -279,13 +284,15 @@ def simulate_point(point, scale, traces):
     machine = NumaMachine(cfg, home_fn=_home_fn(point.placement))
     sink = {}
     with span("replay", qid=point.qid, n_traces=len(traces)):
-        run = Interleaver(machine).run_traces(traces, sink=sink)
+        run = Interleaver(machine).run_traces(traces, sink=sink,
+                                              kernel=kernel)
     return summarize(WorkloadResult(point.qid, scale, machine, run, sink))
 
 
-def run_point(point, scale, seed=42):
-    """Simulate one sweep point from the per-process caches; return its
-    summary dict (memoized per point identity).
+def run_point(point, scale, seed, config):
+    """Simulate one sweep point from the per-process caches under
+    ``config``'s trace store and kernel; return its summary dict (memoized
+    per point identity).
 
     Replay is array-direct (:meth:`Interleaver.run_traces`): the recorded
     columns drive the machine without generator resumptions or per-event
@@ -302,9 +309,9 @@ def run_point(point, scale, seed=42):
     reg.counter("sweep.point.memo_misses").inc()
     t0 = time.perf_counter()
     with span("sweep-point", key=repr(point.key), qid=point.qid):
-        traces = [_trace_for(scale, skey)
+        traces = [_trace_for(scale, skey, config)
                   for skey in _store_keys(point, scale, seed)]
-        summary = simulate_point(point, scale, traces)
+        summary = simulate_point(point, scale, traces, config.kernel)
     reg.histogram("sweep.point.seconds", _POINT_SECONDS_BUCKETS).observe(
         time.perf_counter() - t0)
     _POINT_CACHE[ckey] = summary
@@ -356,14 +363,14 @@ def _resume(ledger, points, scale, seed):
         obs_events.emit("points.resumed", count=resumed)
 
 
-def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
+def run_sweep(points, scale="small", seed=42, config=None):
     """Run every sweep point; return ``{point.key: summary}`` in order.
 
-    ``config`` is a :class:`~repro.core.run.RunConfig` carrying the run's
-    execution knobs (jobs, checkpoint directory, per-point timeout, retry
-    budget, backoff); omitted, the process-wide configuration
-    (:func:`repro.core.run.configure_run`) applies.  ``jobs`` overrides
-    the config's worker count.  With one job (or one memo miss) the misses
+    ``config`` is the :class:`~repro.core.run.RunConfig` the sweep runs
+    under, whole: jobs, trace store and strict-store mode, replay kernel,
+    checkpoint directory, per-point timeout, retry budget, backoff.
+    Omitted, the process default (:func:`repro.core.run.configure_run`)
+    applies.  With one job (or one memo miss) the misses
     are simulated right here; otherwise
     (:func:`repro.core.backend.select_transport`) the parent spools every
     needed trace once (recording, or loading from the persistent store
@@ -392,8 +399,6 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
     scale = get_scale(scale)
     if config is None:
         config = current_run_config()
-    if jobs is not None:
-        config = config.with_options(jobs=jobs)
 
     ledger = None
     if config.checkpoint_dir is not None:
@@ -421,7 +426,7 @@ def run_sweep(points, scale="small", seed=42, jobs=None, config=None):
         for p in _releasing(points):
             ckey = _point_cache_key(p, scale, seed)
             fresh = ckey not in _POINT_CACHE
-            summary = run_point(p, scale, seed=seed)
+            summary = run_point(p, scale, seed, config)
             if fresh:
                 if ledger is not None:
                     ledger.complete(ckey, summary)

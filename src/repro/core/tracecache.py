@@ -315,14 +315,14 @@ class TraceCache:
     Damaged or incompatible store entries fall back to re-recording (and
     are overwritten with a good copy) with a warning and a corruption
     counter (:func:`repro.core.tracestore.corruption_stats`);
-    ``strict_store=True`` raises :class:`TraceStoreError` instead
-    (``None`` defers to the ``--strict-store`` global).  Opening a cache
+    ``strict_store=True`` raises :class:`TraceStoreError` instead.
+    Opening a cache
     with a ``trace_dir`` also sweeps stale ``*.tmp.<pid>`` files left by
     crashed writers.
     """
 
     def __init__(self, db, scale, trace_dir=None, db_seed=None,
-                 lock_check_per_rescan=None, strict_store=None):
+                 lock_check_per_rescan=None, strict_store=False):
         self._db = db
         self.scale = get_scale(scale)
         self.trace_dir = trace_dir

@@ -38,9 +38,10 @@ correctness.
 The fallback is *visible*, not silent: every damaged load increments a
 per-cause corruption counter (:func:`corruption_stats`, reported by
 ``repro-experiments --time``) and emits a :class:`TraceStoreWarning`.
-``--strict-store`` (:func:`set_strict`) turns the fallback off entirely:
-damage raises :class:`TraceStoreError` instead of re-recording, for runs
-where a corrupted artifact must stop the world.
+Strict loads (``strict=True``, what ``RunConfig.strict_store`` /
+``--strict-store`` asks every trace cache of a run for) turn the fallback
+off entirely: damage raises :class:`TraceStoreError` instead of
+re-recording, for runs where a corrupted artifact must stop the world.
 """
 
 import hashlib
@@ -59,7 +60,7 @@ from repro.obs.metrics import registry
 __all__ = [
     "TraceStoreError", "TraceStoreWarning", "store_key", "trace_filename",
     "encode_trace", "decode_trace", "save_trace", "load_trace",
-    "clean_stale_temps", "corruption_stats", "set_strict", "get_strict",
+    "clean_stale_temps", "corruption_stats",
 ]
 
 MAGIC = b"RPTR"
@@ -78,24 +79,9 @@ TMP_MARKER = ".tmp."
 #: Age (seconds) beyond which an unparsable temp file counts as stale.
 STALE_TMP_AGE = 3600.0
 
-#: Strict mode: damaged entries raise instead of falling back to
-#: re-recording.  Set by ``repro-experiments --strict-store``.
-_STRICT = False
-
 #: Metric-name prefix of the per-cause damaged-entry counters
 #: (``tracestore.corrupt.checksum``, ``tracestore.corrupt.truncated``, ...).
 CORRUPT_PREFIX = "tracestore.corrupt"
-
-
-def set_strict(strict):
-    """Globally toggle strict store mode (damage raises, never re-records)."""
-    global _STRICT
-    _STRICT = bool(strict)
-
-
-def get_strict():
-    """Whether strict store mode is on."""
-    return _STRICT
 
 
 def corruption_stats():
@@ -295,16 +281,15 @@ def _writer_racing(path):
     return False
 
 
-def load_trace(directory, key, strict=None):
+def load_trace(directory, key, strict=False):
     """Load the trace stored for ``key``; ``(trace, nbytes)`` or ``None``.
 
     A missing file is a normal cold-cache miss and returns ``None``
     quietly.  Damage -- truncation, checksum failure, version or key
     mismatch -- increments the matching corruption counter, emits a
     :class:`TraceStoreWarning`, and returns ``None`` so callers fall back
-    to re-recording; under strict mode (``strict=True``, or the
-    :func:`set_strict` global when ``strict`` is ``None``) the
-    :class:`TraceStoreError` propagates instead.
+    to re-recording; with ``strict=True`` the :class:`TraceStoreError`
+    propagates instead.
 
     One exception: a checksum/truncation failure while a concurrent
     writer's ``*.tmp.<pid>`` sibling exists is a read *race*, not
@@ -332,7 +317,7 @@ def load_trace(directory, key, strict=None):
                 registry().counter("store.read_races").inc()
                 return trace, len(data)
         _count_damage(exc)
-        if _STRICT if strict is None else strict:
+        if strict:
             raise
         # The caller now re-records this entry.  Count re-records per
         # *unique* stored artifact (the entry's path): a sweep point

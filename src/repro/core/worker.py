@@ -2,18 +2,19 @@
 
 The worker half of the sweep transport (:mod:`repro.core.backend`,
 where the frame format and op set are documented).  The parent sends one
-``init`` frame (scale, seed, spool directory, heartbeat interval), then
-``run`` frames one at a time; the worker answers ``ready``, a steady
-stream of ``heartbeat`` frames from a daemon thread (the lease-liveness
-signal), and one ``result`` or ``error`` frame per point.
+``init`` frame (scale, seed, spool directory, heartbeat interval, replay
+kernel), then ``run`` frames one at a time; the worker answers ``ready``,
+a steady stream of ``heartbeat`` frames from a daemon thread (the
+lease-liveness signal), and one ``result`` or ``error`` frame per point.
 
 Traces arrive *by store key only*: the worker loads them from the spool
 directory with :func:`repro.core.tracestore.load_trace` (strict mode --
 spool damage is an error frame, never a silent re-record) and replays
-them through :func:`repro.core.sweep.simulate_point`.  No trace array is
-ever pickled across the pipe, and nothing in this process writes shared
-state: results flow back as plain JSON summaries, bit-identical through
-the protocol because summaries are JSON-safe by construction.
+them through :func:`repro.core.sweep.simulate_point` on the init frame's
+kernel.  No trace array is ever pickled across the pipe, and nothing in
+this process writes shared state: results flow back as plain JSON
+summaries, bit-identical through the protocol because summaries are
+JSON-safe by construction.
 
 stdout is the protocol channel and is written only via :class:`_Output`
 (``os.write`` under a lock, shared with the heartbeat thread); anything
@@ -92,23 +93,15 @@ def _read_frame(fd, buf):
 
 
 def _configure(init):
-    """Apply the init frame; returns the per-process run context."""
+    """The per-process run context the init frame describes."""
     from repro.tpcd.scales import get_scale
 
-    if init.get("strict"):
-        from repro.core import tracestore
-
-        tracestore.set_strict(True)
-    kernel = init.get("kernel", "auto")
-    if kernel != "auto":
-        from repro.memsim.batch import set_default_kernel
-
-        set_default_kernel(kernel)
     return {
         "scale": get_scale(init.get("scale", "small")),
         "seed": int(init.get("seed", 42)),
         "store_dir": init.get("store_dir"),
         "lease_ttl": float(init.get("lease_ttl", 30.0)),
+        "kernel": init.get("kernel", "auto"),
     }
 
 
@@ -127,7 +120,7 @@ def _compute(frame, ctx):
                 f"trace {key!r} is not in the spool {ctx['store_dir']!r}",
                 cause="other")
         traces.append(loaded[0])
-    return simulate_point(point, ctx["scale"], traces)
+    return simulate_point(point, ctx["scale"], traces, ctx["kernel"])
 
 
 def _run(frame, ctx, wid, out, hb):

@@ -2,11 +2,9 @@
 
 Every module exposes ``run(scale="small", ...)`` returning a plain dict of
 results plus a ``report(results)`` that renders the paper-style rows.  The
-authoritative registry is :data:`repro.experiments.families.FAMILIES`
-(declarative entries, lazy module resolution); ``REGISTRY`` here remains
-the resolved name -> module map older callers and the reporting path use.
-The ``runner`` module provides the ``repro-experiments`` CLI over all of
-them.
+one name -> experiment map is :data:`repro.experiments.families.FAMILIES`
+(declarative entries, lazy module resolution).  The ``runner`` module
+provides the ``repro-experiments`` CLI over all of them.
 """
 
 from repro.experiments import (
@@ -14,8 +12,6 @@ from repro.experiments import (
 )
 from repro.experiments.families import FAMILIES, Family, run_family
 
-REGISTRY = {name: family.resolve() for name, family in FAMILIES.items()}
-
-__all__ = ["FAMILIES", "Family", "REGISTRY", "run_family", "table1",
+__all__ = ["FAMILIES", "Family", "run_family", "table1",
            "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
            "fig13", "mixed_rw"]

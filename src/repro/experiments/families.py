@@ -1,16 +1,13 @@
-"""The shared experiment-family registry and its common sweep builders.
+"""The experiment-family registry and its common sweep builders.
 
-Before this module, every figure was a hardcoded module dispatched by
-signature sniffing (``"jobs" in inspect.signature(mod.run).parameters``)
-and the near-duplicate sweep bodies of the figure pairs (8/9 line-size,
-10/11 cache-size) were copied four times.  A :class:`Family` is the
-declarative replacement: one registry entry per experiment naming its
-module, whether it runs on the sweep driver (and therefore takes the
-run's worker count), and its one-line description --
+:data:`FAMILIES` is the one name -> experiment map: one :class:`Family`
+per experiment, naming its module and whether it runs on the sweep
+driver (and therefore takes the run's whole config).
 :func:`repro.core.run.run_experiments` dispatches through
-:func:`run_family` and never inspects a signature again (the old
-duck-typed path survives as a warn-once deprecation shim for
-externally-registered modules).
+:func:`run_family`; the ``repro-experiments`` CLI lists, runs and reports
+through the same entries.  The sweep bodies of the figure pairs (8/9
+line-size, 10/11 cache-size) share the point builders and projections
+below.
 
 The figure families keep their native per-query trace identities --
 ``(qid, seed_base + i)`` per processor -- rather than re-expressing the
@@ -36,15 +33,12 @@ class Family:
     ``module`` is resolved lazily (the registry can be imported without
     paying for every experiment's imports); it must expose
     ``run(scale=..., ...)`` and ``report(results)``.  ``sweep`` families
-    run on the sweep driver and receive the config's ``jobs``;
-    ``scenario_backed`` families generate :class:`ScenarioSpec` workloads
-    (update traffic included) instead of single-query streams.
+    run on the sweep driver and receive the run's ``config``.
     """
 
     name: str
     module: str
     sweep: bool = False
-    scenario_backed: bool = False
 
     def resolve(self):
         return importlib.import_module(self.module)
@@ -61,22 +55,21 @@ FAMILIES = {
     "fig12": Family("fig12", "repro.experiments.fig12"),
     "fig13": Family("fig13", "repro.experiments.fig13"),
     "mixed-rw": Family("mixed-rw", "repro.experiments.mixed_rw",
-                       sweep=True, scenario_backed=True),
+                       sweep=True),
 }
 
 
 def run_family(name, config):
     """Dispatch one registered family under ``config``; returns results.
 
-    The registry entry -- not the run function's signature -- decides
-    what the family receives: every family gets the scale, sweep-based
-    families also get the worker count.
+    The registry entry decides what the family receives: every family
+    gets the scale, sweep-based families also get the whole config (jobs,
+    trace store, kernel, checkpoint directory and the rest).
     """
     family = FAMILIES[name]
-    kwargs = {"scale": config.scale}
     if family.sweep:
-        kwargs["jobs"] = config.jobs
-    return family.resolve().run(**kwargs)
+        return family.resolve().run(scale=config.scale, config=config)
+    return family.resolve().run(scale=config.scale)
 
 
 def family_report(name, results):

@@ -17,8 +17,8 @@ MULTIPLIERS = [1, 4, 16, 64]
 GROUPS = ["Priv", "Data", "Index", "Metadata"]
 
 
-def run(scale="small", db=None, queries=QUERIES, multipliers=MULTIPLIERS,
-        jobs=1):
+def run(scale="small", queries=QUERIES, multipliers=MULTIPLIERS,
+        config=None):
     """Return per-query, per-size grouped miss counts for L1 and L2.
 
     Runs on the sweep driver (recorded traces, optional worker processes); see
@@ -27,7 +27,7 @@ def run(scale="small", db=None, queries=QUERIES, multipliers=MULTIPLIERS,
     sc = get_scale(scale)
     points = cache_size_points(sc, queries, multipliers)
     results = {}
-    for (qid, mult), s in run_sweep(points, scale=sc, jobs=jobs).items():
+    for (qid, mult), s in run_sweep(points, scale=sc, config=config).items():
         results.setdefault(qid, {})[mult] = grouped_misses(s)
     return results
 

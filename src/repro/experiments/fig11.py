@@ -15,8 +15,8 @@ MULTIPLIERS = [1, 4, 16, 64]
 COMPONENTS = ["Busy", "MSync", "SMem", "PMem"]
 
 
-def run(scale="small", db=None, queries=QUERIES, multipliers=MULTIPLIERS,
-        jobs=1):
+def run(scale="small", queries=QUERIES, multipliers=MULTIPLIERS,
+        config=None):
     """Return per-query, per-size time components (cycles).
 
     Runs on the sweep driver (recorded traces, optional worker processes); see
@@ -25,7 +25,7 @@ def run(scale="small", db=None, queries=QUERIES, multipliers=MULTIPLIERS,
     sc = get_scale(scale)
     points = cache_size_points(sc, queries, multipliers)
     results = {}
-    for (qid, mult), s in run_sweep(points, scale=sc, jobs=jobs).items():
+    for (qid, mult), s in run_sweep(points, scale=sc, config=config).items():
         results.setdefault(qid, {})[mult] = time_projection(s)
     return results
 

@@ -16,20 +16,19 @@ BASELINE_LINE = 64
 GROUPS = ["Priv", "Data", "Index", "Metadata"]
 
 
-def run(scale="small", db=None, queries=QUERIES, line_sizes=LINE_SIZES,
-        jobs=1):
+def run(scale="small", queries=QUERIES, line_sizes=LINE_SIZES, config=None):
     """Return per-query, per-line-size grouped miss counts for L1 and L2.
 
-    Runs on the sweep driver: the workload is recorded once per query and
-    replayed against every line size (``jobs>1`` fans the points out over
-    ``repro-sweep-worker`` subprocesses).  ``db`` is accepted for
-    compatibility and must be the shared per-scale database the driver
-    rebuilds itself.
+    Runs on the sweep driver under ``config`` (default: the process
+    default :class:`~repro.core.run.RunConfig`): the workload is recorded
+    once per query and replayed against every line size (``config.jobs``
+    > 1 fans the points out over ``repro-sweep-worker`` subprocesses).
     """
     sc = get_scale(scale)
     points = line_size_points(queries, line_sizes)
     results = {}
-    for (qid, l2_line), s in run_sweep(points, scale=sc, jobs=jobs).items():
+    for (qid, l2_line), s in run_sweep(points, scale=sc,
+                                       config=config).items():
         results.setdefault(qid, {})[l2_line] = grouped_misses(s)
     return results
 

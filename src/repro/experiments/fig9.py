@@ -17,8 +17,7 @@ BASELINE_LINE = 64
 COMPONENTS = ["Busy", "MSync", "SMem", "PMem"]
 
 
-def run(scale="small", db=None, queries=QUERIES, line_sizes=LINE_SIZES,
-        jobs=1):
+def run(scale="small", queries=QUERIES, line_sizes=LINE_SIZES, config=None):
     """Return per-query, per-line-size time components (cycles).
 
     Runs on the sweep driver (recorded traces, optional worker processes); see
@@ -27,7 +26,8 @@ def run(scale="small", db=None, queries=QUERIES, line_sizes=LINE_SIZES,
     sc = get_scale(scale)
     points = line_size_points(queries, line_sizes)
     results = {}
-    for (qid, l2_line), s in run_sweep(points, scale=sc, jobs=jobs).items():
+    for (qid, l2_line), s in run_sweep(points, scale=sc,
+                                       config=config).items():
         results.setdefault(qid, {})[l2_line] = time_projection(s)
     return results
 

@@ -72,13 +72,13 @@ def _point_result(summary):
     }
 
 
-def run(scale="small", jobs=1, update_fracs=UPDATE_FRACS,
-        client_counts=CLIENT_COUNTS, cpu_counts=CPU_COUNTS):
+def run(scale="small", update_fracs=UPDATE_FRACS,
+        client_counts=CLIENT_COUNTS, cpu_counts=CPU_COUNTS, config=None):
     """Sweep the scenario grid; returns ``{(frac, clients, cpus): ...}``.
 
-    Runs on the sweep driver like the figure sweeps: scenarios are
-    registered here, recorded in the parent on first use, and spooled to
-    the sweep workers by store key.
+    Runs on the sweep driver under ``config`` like the figure sweeps:
+    scenarios are registered here, recorded in the parent on first use,
+    and spooled to the sweep workers by store key.
     """
     sc = get_scale(scale)
     points = []
@@ -92,7 +92,7 @@ def run(scale="small", jobs=1, update_fracs=UPDATE_FRACS,
                     machine=dict(spec.machine), n_procs=cpus,
                 ))
     return {key: _point_result(s)
-            for key, s in run_sweep(points, scale=sc, jobs=jobs).items()}
+            for key, s in run_sweep(points, scale=sc, config=config).items()}
 
 
 def report(results):

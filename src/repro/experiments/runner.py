@@ -17,8 +17,8 @@ Usage::
                                             # structured run report + live
                                             # sweep progress line
 
-The CLI builds one :class:`repro.core.RunConfig` from its flags, applies it
-with :func:`repro.core.configure_run`, and drives
+The CLI builds one :class:`repro.core.RunConfig` from its flags, makes it
+the process default with :func:`repro.core.configure_run`, and hands it to
 :func:`repro.core.run_experiments` -- the same three calls a library user
 makes.
 """
@@ -114,19 +114,19 @@ def _build_parser():
 
 
 def main(argv=None):
-    from repro.experiments import REGISTRY
+    from repro.experiments.families import FAMILIES, family_report
 
     args = _build_parser().parse_args(argv)
 
     if args.list or not (args.experiments or args.scenario):
         print("Available experiments:")
-        for name, mod in REGISTRY.items():
-            summary = (mod.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:8s} {summary}")
+        for name, family in FAMILIES.items():
+            doc = family.resolve().__doc__ or ""
+            print(f"  {name:8s} {doc.strip().splitlines()[0]}")
         return 0
 
-    names = list(REGISTRY) if args.experiments == ["all"] else args.experiments
-    unknown = [n for n in names if n not in REGISTRY]
+    names = list(FAMILIES) if args.experiments == ["all"] else args.experiments
+    unknown = [n for n in names if n not in FAMILIES]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
@@ -178,7 +178,7 @@ def main(argv=None):
 
             print(scenario_report(results))
         else:
-            print(REGISTRY[name].report(results))
+            print(family_report(name, results))
 
     try:
         outcome = run_experiments(names + specs, config, on_result=show)

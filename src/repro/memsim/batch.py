@@ -28,8 +28,9 @@ of single-line reads and busy/hit rows anywhere in the 17 queries, at any
 L1 line size the sweeps use, is 20 rows at ``small`` (18 at ``tiny``).
 
 Kernel selection (:func:`resolve_kernel`): ``horizon`` / ``batched`` /
-``scalar`` / ``auto``, from an explicit argument, the process default set
-by :class:`~repro.core.run.RunConfig`, or ``REPRO_KERNEL``.  ``auto``
+``scalar`` / ``auto``, from an explicit argument (a sweep passes its
+``RunConfig.kernel``), the process default config's, or ``REPRO_KERNEL``.
+``auto``
 picks ``batched`` whenever numpy is importable: end to end (schedules and
 their memory included) it beats horizon on wall time and peak memory on
 every benchmark workload.  The horizon kernel
@@ -72,49 +73,36 @@ KERNELS = ("auto", "horizon", "batched", "scalar")
 #: without re-tagging inside a point.
 PLAN_MEMO = 2
 
-#: Process-default kernel, set by :func:`repro.core.run.configure_run`.
-_DEFAULT = "auto"
-
 _WARNED_NO_NUMPY = False
 
 
-def _check_kernel(kernel):
+def check_kernel(kernel):
+    """Return ``kernel`` if it is a recognized name; raise ``ValueError``."""
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown replay kernel {kernel!r}: expected one of {KERNELS}")
     return kernel
 
 
-def set_default_kernel(kernel):
-    """Set the process-default kernel (``RunConfig.kernel`` lands here)."""
-    global _DEFAULT
-    # Process-local by design: workers apply RunConfig themselves.
-    _DEFAULT = _check_kernel(kernel or "auto")
-
-
-def default_kernel():
-    """The process-default kernel name (``auto`` until configured)."""
-    return _DEFAULT
-
-
 def resolve_kernel(kernel=None):
     """Resolve a kernel request to ``'horizon'``/``'batched'``/``'scalar'``.
 
-    Precedence: the explicit ``kernel`` argument, then the process default
-    (:func:`set_default_kernel`, i.e. ``RunConfig.kernel``), then the
+    ``None`` stands for the kernel of the process default config
+    (:func:`repro.core.run.configure_run`).  ``auto`` defers to the
     ``REPRO_KERNEL`` environment variable; a still-unresolved ``auto``
     picks ``batched`` whenever numpy is importable.  A ``horizon`` or
     ``batched`` request without numpy warns once per process and degrades
     to ``scalar``.
     """
     global _WARNED_NO_NUMPY
-    if kernel is None or kernel == "auto":
-        kernel = _DEFAULT
-    if kernel == "auto":
-        kernel = _check_kernel(os.environ.get("REPRO_KERNEL") or "auto")
+    if kernel is None:
+        from repro.core.run import current_run_config  # repro.core imports us
+
+        kernel = current_run_config().kernel
+    if check_kernel(kernel) == "auto":
+        kernel = check_kernel(os.environ.get("REPRO_KERNEL") or "auto")
     if kernel == "auto":
         kernel = "batched" if HAVE_NUMPY else "scalar"
-    _check_kernel(kernel)
     if kernel in ("batched", "horizon") and not HAVE_NUMPY:
         if not _WARNED_NO_NUMPY:
             # The warn-once flag is per-process by design.

@@ -138,9 +138,10 @@ class Interleaver:
         inlined dispatch plus the sharing-aware scheduler of
         :mod:`repro.memsim.horizon`, which retires classified-private
         regions *across* global-clock window cuts and replays the cuts
-        from virtual clocks; opt-in only), or ``None``/``"auto"`` to
-        follow ``RunConfig.kernel`` / ``REPRO_KERNEL`` and default to
-        batched when numpy is available.
+        from virtual clocks; opt-in only), ``"auto"`` to follow
+        ``REPRO_KERNEL`` and default to batched when numpy is available,
+        or ``None`` for the process default config's kernel (see
+        :func:`repro.memsim.batch.resolve_kernel`).
         A request the machine cannot serve falls back down the tier chain
         -- horizon needs a pristine machine (its classifier only covers
         lines the current trace set touches) and degrades to batched on a

@@ -61,8 +61,10 @@ __all__ = [
 ]
 
 
-def run_scenario(spec, scale="small", jobs=None, config=None):
-    """Run one scenario through the sweep engine; return its results dict.
+def run_scenario(spec, scale="small", config=None):
+    """Run one scenario through the sweep engine under ``config`` (default:
+    the process default :class:`~repro.core.run.RunConfig`); return its
+    results dict.
 
     The spec becomes a single :class:`~repro.core.sweep.SweepPoint`
     (qid ``scn:<hash>``, the spec's machine overrides, one trace per CPU),
@@ -75,7 +77,7 @@ def run_scenario(spec, scale="small", jobs=None, config=None):
     qid = register_scenario(spec)
     point = SweepPoint(key=spec.name, qid=qid, machine=dict(spec.machine),
                        n_procs=spec.cpus)
-    out = run_sweep([point], scale=scale, jobs=jobs, config=config)
+    out = run_sweep([point], scale=scale, config=config)
     return {
         "name": spec.name,
         "qid": qid,

@@ -25,7 +25,6 @@ from repro.memsim.batch import (
     HAVE_NUMPY,
     machine_batch_reason,
     resolve_kernel,
-    set_default_kernel,
     trace_plan,
 )
 from repro.memsim.events import (
@@ -516,19 +515,24 @@ def test_horizon_requires_pristine_machine():
 
 
 @pytest.fixture(autouse=True)
-def _restore_kernel_default():
+def _restore_run_default():
+    saved = current_run_config()
     yield
-    set_default_kernel("auto")
+    configure_run(saved)
 
 
 def test_resolve_kernel_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     assert resolve_kernel("scalar") == "scalar"
-    set_default_kernel("scalar")
+    configure_run(RunConfig(kernel="scalar"))
     assert resolve_kernel() == "scalar"
     assert resolve_kernel("batched") == ("batched" if HAVE_NUMPY
                                          else "scalar")
-    set_default_kernel("auto")
+    # An explicit "auto" (a passed config's default) does not consult the
+    # process default config.
+    assert resolve_kernel("auto") == ("batched" if HAVE_NUMPY
+                                      else "scalar")
+    configure_run(RunConfig())
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
     assert resolve_kernel() == "scalar"
     monkeypatch.delenv("REPRO_KERNEL")
@@ -543,7 +547,7 @@ def test_resolve_kernel_rejects_unknown():
     with pytest.raises(ValueError, match="unknown replay kernel"):
         resolve_kernel("simd")
     with pytest.raises(ValueError, match="unknown replay kernel"):
-        set_default_kernel("simd")
+        RunConfig(kernel="simd")
 
 
 def test_batched_without_numpy_warns_once(monkeypatch):
@@ -557,13 +561,9 @@ def test_batched_without_numpy_warns_once(monkeypatch):
 
 
 def test_run_config_kernel_roundtrip():
-    config = RunConfig(kernel="scalar")
-    configure_run(config)
-    try:
-        assert resolve_kernel() == "scalar"
-        assert current_run_config().kernel == "scalar"
-    finally:
-        configure_run(RunConfig())
+    configure_run(RunConfig(kernel="scalar"))
+    assert resolve_kernel() == "scalar"
+    assert current_run_config().kernel == "scalar"
 
 
 def test_run_config_rejects_bad_kernel():

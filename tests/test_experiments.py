@@ -1,11 +1,12 @@
 """Each experiment module runs, reports, and shows the paper's shape."""
 
+import inspect
 import os
 
 import pytest
 
 from repro.experiments import (
-    REGISTRY, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, mixed_rw,
+    FAMILIES, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, mixed_rw,
     table1,
 )
 from repro.experiments.runner import main as runner_main
@@ -16,20 +17,21 @@ EXAMPLE_SPEC = os.path.join(os.path.dirname(__file__), "..", "examples",
 
 
 def test_registry_covers_all_artifacts():
-    assert set(REGISTRY) == {
+    assert set(FAMILIES) == {
         "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
         "fig12", "fig13", "mixed-rw",
     }
 
 
 def test_registry_mirrors_family_registry():
-    from repro.experiments.families import FAMILIES
-
-    assert set(REGISTRY) == set(FAMILIES)
     for name, family in FAMILIES.items():
-        assert REGISTRY[name] is family.resolve()
-        assert callable(REGISTRY[name].run)
-        assert callable(REGISTRY[name].report)
+        module = family.resolve()
+        assert family.name == name
+        assert callable(module.run)
+        assert callable(module.report)
+        # Sweep families take the run's whole config.
+        params = inspect.signature(module.run).parameters
+        assert ("config" in params) == family.sweep
 
 
 def test_table1_all_match():

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -274,31 +275,31 @@ def test_set_valued_results_hash_the_same_under_any_hash_seed():
 def test_run_config_round_trip_ignores_unknown_keys():
     cfg = RunConfig(scale="tiny", jobs=3, point_timeout=1.5)
     assert RunConfig(**cfg.as_dict()) == cfg
-    assert cfg.with_options(jobs=5).jobs == 5
+    assert replace(cfg, jobs=5).jobs == 5
     with pytest.raises(Exception):  # frozen dataclass
         cfg.jobs = 9
 
 
-def test_current_run_config_reflects_legacy_stores():
-    # The trace directory and strict-store mode have setters of their own;
-    # the effective config reads them back instead of trusting what
-    # configure_run last stored.
-    from repro.core import tracestore
-    from repro.core.experiment import get_trace_dir, set_trace_dir
+def test_current_run_config_is_the_stored_default(tmp_path):
+    # configure_run stores the one process default; calls handed no config
+    # read it, and a passed config is never mixed with it.
+    from repro.core.experiment import workload_trace_cache
     from repro.core.run import configure_run
 
     saved = current_run_config()
+    stored = RunConfig(point_timeout=4.5, retries=7,
+                       trace_dir=str(tmp_path), strict_store=True)
     try:
-        configure_run(RunConfig(point_timeout=4.5, retries=7))
-        set_trace_dir("elsewhere")
-        tracestore.set_strict(True)
-        cfg = current_run_config()
-        assert (cfg.point_timeout, cfg.retries) == (4.5, 7)
-        assert (cfg.trace_dir, cfg.strict_store) == ("elsewhere", True)
-        assert current_run_config(retries=1).retries == 1
+        configure_run(stored)
+        assert current_run_config() is stored
+        default = workload_trace_cache("tiny")
+        assert (default.trace_dir, default.strict_store) == \
+            (str(tmp_path), True)
+        passed = workload_trace_cache("tiny", config=RunConfig())
+        assert (passed.trace_dir, passed.strict_store) == (None, False)
     finally:
         configure_run(saved)
-    assert get_trace_dir() == saved.trace_dir
+    assert current_run_config() == saved
 
 
 def test_unknown_run_sweep_kwarg_raises():

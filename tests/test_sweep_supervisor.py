@@ -61,7 +61,8 @@ def _sweep(points, jobs=2, **options):
 @pytest.fixture(scope="module")
 def serial3():
     """The jobs=1 ground truth for the first three sweep points."""
-    return run_sweep(_points(3), scale=SCALE, jobs=1)
+    return run_sweep(_points(3), scale=SCALE,
+                     config=RunConfig(scale=SCALE, jobs=1))
 
 
 def test_injected_raise_is_retried(monkeypatch, serial3):

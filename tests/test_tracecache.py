@@ -22,6 +22,7 @@ from repro.core.experiment import (
     run_warm_workload,
     workload_trace_cache,
 )
+from repro.core.run import RunConfig
 from repro.core.sweep import SweepPoint, clear_variant_cache, run_sweep
 from repro.core.tracecache import QueryTrace, record
 from repro.db.shmem import shared_home_fn
@@ -255,11 +256,13 @@ def test_sweep_process_pool_matches_serial():
                    machine={"l1_line": line // 2, "l2_line": line})
         for line in (32, 64)
     ]
-    serial = run_sweep(points, scale=SCALE, jobs=1)
+    serial = run_sweep(points, scale=SCALE,
+                       config=RunConfig(scale=SCALE, jobs=1))
     # Drop the parent's point memo so jobs=2 actually spawns workers
     # (run_sweep answers memoized points without them).
     clear_variant_cache()
-    parallel = run_sweep(points, scale=SCALE, jobs=2)
+    parallel = run_sweep(points, scale=SCALE,
+                         config=RunConfig(scale=SCALE, jobs=2))
     assert parallel == serial
 
 
@@ -267,8 +270,10 @@ def test_sweep_memoized_points_skip_the_pool():
     """A sweep whose points are already memoized answers without workers
     even when ``jobs>1`` (how fig9 is free right after fig8)."""
     points = [SweepPoint(key="base", qid="Q6")]
-    first = run_sweep(points, scale=SCALE, jobs=1)
-    again = run_sweep(points, scale=SCALE, jobs=4)
+    first = run_sweep(points, scale=SCALE,
+                      config=RunConfig(scale=SCALE, jobs=1))
+    again = run_sweep(points, scale=SCALE,
+                      config=RunConfig(scale=SCALE, jobs=4))
     assert again == first
 
 

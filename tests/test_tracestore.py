@@ -28,7 +28,6 @@ from repro.core.tracestore import (
     encode_trace,
     load_trace,
     save_trace,
-    set_strict,
     store_key,
     trace_filename,
 )
@@ -334,20 +333,15 @@ def test_strict_mode_raises_instead_of_falling_back(tmp_path):
     key = _damage_entry(tmp_path)
     with pytest.raises(TraceStoreError):
         load_trace(tmp_path, key, strict=True)
-    # The global switch (--strict-store) has the same effect.
-    set_strict(True)
-    try:
-        with pytest.raises(TraceStoreError):
-            load_trace(tmp_path, key)
-    finally:
-        set_strict(False)
-    # An explicit strict=False overrides the global.
-    set_strict(True)
-    try:
-        with pytest.warns(TraceStoreWarning):
-            assert load_trace(tmp_path, key, strict=False) is None
-    finally:
-        set_strict(False)
+    # A cache opened strict (RunConfig.strict_store) has the same effect;
+    # one opened with the default falls back with a warning.
+    shared = workload_trace_cache(SCALE)
+    strict = TraceCache(shared.db, SCALE, trace_dir=str(tmp_path),
+                        db_seed=42, strict_store=True)
+    with pytest.raises(TraceStoreError):
+        strict.get("Q6", 0, 0)
+    with pytest.warns(TraceStoreWarning):
+        assert _fresh_cache(tmp_path).get("Q6", 0, 0) is not None
 
 
 def _dead_pid():

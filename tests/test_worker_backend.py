@@ -195,7 +195,8 @@ def test_resolve_backend_selection():
 @pytest.fixture(scope="module")
 def serial3():
     """The jobs=1 ground truth for the first three sweep points."""
-    return run_sweep(_points(3), scale=SCALE, jobs=1)
+    return run_sweep(_points(3), scale=SCALE,
+                     config=RunConfig(scale=SCALE, jobs=1))
 
 
 def _workers(points, tmp_path, **overrides):
@@ -225,10 +226,12 @@ def test_sweep_results_independent_of_jobs():
     the serial summaries bit for bit, including when points outnumber the
     pool and the submission window has to cycle."""
     points = _points(4)
-    serial = run_sweep(points, scale=SCALE, jobs=1)
+    serial = run_sweep(points, scale=SCALE,
+                       config=RunConfig(scale=SCALE, jobs=1))
     for jobs in (2, 3):
         clear_variant_cache()   # force the points through the pool
-        assert run_sweep(points, scale=SCALE, jobs=jobs) == serial
+        config = RunConfig(scale=SCALE, jobs=jobs)
+        assert run_sweep(points, scale=SCALE, config=config) == serial
 
 
 def test_workers_backend_survives_faults(monkeypatch, tmp_path, serial3):

@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.core import experiment, sweep
 from repro.core.experiment import (
-    clear_caches, set_trace_dir, trace_cache_stats, workload_trace_cache,
+    clear_caches, trace_cache_stats, workload_trace_cache,
 )
 from repro.core.run import RunConfig
 from repro.core.sweep import SweepPoint, run_sweep
@@ -39,7 +39,6 @@ def _fresh_caches():
     """Scenario tests mutate the process-wide caches; isolate each test."""
     clear_caches()
     yield
-    set_trace_dir(None)
     clear_caches()
 
 
@@ -153,9 +152,9 @@ def trace_refs(monkeypatch):
     refs = []
     simulate = sweep.simulate_point
 
-    def spy(point, scale, traces):
+    def spy(point, scale, traces, kernel):
         refs.extend(weakref.ref(t) for t in traces)
-        return simulate(point, scale, traces)
+        return simulate(point, scale, traces, kernel)
 
     monkeypatch.setattr(sweep, "simulate_point", spy)
     return refs
@@ -239,10 +238,11 @@ def test_query_traces_keep_process_lifetime_caching(trace_refs):
 
 def test_stored_scenario_replays_without_registration(tmp_path):
     spec = update_spec()
-    store = str(tmp_path / "traces")
-    set_trace_dir(store)
+    config = RunConfig(scale=SCALE, trace_dir=str(tmp_path / "traces"))
+    store = config.trace_dir
     register_scenario(spec)
-    recorded = run_sweep([_point(spec)], scale=SCALE)[spec.name]
+    recorded = run_sweep([_point(spec)], scale=SCALE,
+                         config=config)[spec.name]
     stored = [f for f in os.listdir(store) if "scn" in f]
     assert len(stored) == spec.cpus
 
@@ -250,8 +250,8 @@ def test_stored_scenario_replays_without_registration(tmp_path):
     # qid is just a trace identity.  Simulate one by dropping every cache
     # and the scenario registry, then resolving the same point cold.
     clear_caches()
-    set_trace_dir(store)
-    replayed = run_sweep([_point(spec)], scale=SCALE)[spec.name]
+    replayed = run_sweep([_point(spec)], scale=SCALE,
+                         config=config)[spec.name]
     assert summary_hash(replayed) == summary_hash(recorded)
 
 
